@@ -12,7 +12,7 @@
 //	    [-min-scaling 1.5] [-min-scaling-workers 4] \
 //	    [-max-bytes-per-event 6.0] [-min-decode-ratio 0.75] \
 //	    [-server-baseline BENCH_server.json -server-current BENCH_server_current.json] \
-//	    [-server-threshold 0.25] [-min-server-scaling 1.5] [-min-server-scaling-workers 4]
+//	    [-server-threshold 0.25]
 //
 // The gate only fails on regressions — a faster candidate passes — and a
 // worker count present in the baseline but missing from the candidate is
@@ -31,10 +31,8 @@
 //
 // -server-baseline/-server-current gate the serving layer the same way
 // against piftbench -exp server artifacts (both empty = server gate off):
-// per-worker-count events/sec regression bounded by -server-threshold,
-// and -min-server-scaling enforcing a floor on the parallel-ingest
-// speedup at -min-server-scaling-workers workers, with the same
-// recorded-NumCPU skip as -min-scaling.
+// whole-session ingest events/sec regression bounded by
+// -server-threshold.
 package main
 
 import (
@@ -60,8 +58,6 @@ func main() {
 	serverBase := flag.String("server-baseline", "", "committed server baseline artifact (piftbench -exp server); empty disables the server gate")
 	serverCur := flag.String("server-current", "", "freshly measured server artifact")
 	serverThreshold := flag.Float64("server-threshold", 0.25, "maximum tolerated server events/sec regression (fraction)")
-	minServerScaling := flag.Float64("min-server-scaling", -1, "minimum parallel-ingest speedup at -min-server-scaling-workers workers (negative disables; skipped when the candidate's NumCPU is below the worker count)")
-	minServerScalingWorkers := flag.Int("min-server-scaling-workers", 4, "worker count the -min-server-scaling floor applies to")
 	flag.Parse()
 	if *threshold < 0 || *threshold >= 1 {
 		fmt.Fprintf(os.Stderr, "benchgate: -threshold %v out of range [0, 1)\n", *threshold)
@@ -79,7 +75,7 @@ func main() {
 		}
 	}
 	if *serverBase != "" || *serverCur != "" {
-		if gateServer(&md, *serverBase, *serverCur, *serverThreshold, *minServerScaling, *minServerScalingWorkers) {
+		if gateServer(&md, *serverBase, *serverCur, *serverThreshold) {
 			failed = true
 		}
 	}
@@ -251,76 +247,27 @@ func gateWire(md *strings.Builder, curPath string, maxBytesPerEvent, minDecodeRa
 }
 
 // gateServer compares the server artifacts the way the pipeline gate
-// compares its own: regression per measured worker count, plus an
-// absolute speedup floor with the recorded-NumCPU skip. Reports failure.
-func gateServer(md *strings.Builder, basePath, curPath string, threshold, minScaling float64, minScalingWorkers int) bool {
+// compares its own: whole-session ingest events/sec may regress by at
+// most threshold. Reports failure.
+func gateServer(md *strings.Builder, basePath, curPath string, threshold float64) bool {
 	base, err := loadServer(basePath)
 	fatal(err)
 	cur, err := loadServer(curPath)
 	fatal(err)
 
-	failed := false
 	md.WriteString("\n### benchgate: server session-ingest events/sec, old vs new\n\n")
-	md.WriteString("| workers | baseline ev/s | current ev/s | delta | status |\n")
-	md.WriteString("|--:|--:|--:|--:|:--|\n")
-
-	curBy := map[int]eval.PipelineScalingRow{}
-	for _, row := range cur.Scaling {
-		curBy[row.Workers] = row
+	md.WriteString("| baseline ev/s | current ev/s | delta | status |\n")
+	md.WriteString("|--:|--:|--:|:--|\n")
+	delta := cur.PerSecond/base.PerSecond - 1
+	failed := delta < -threshold
+	status := "ok  "
+	if failed {
+		status = "FAIL"
 	}
-	for _, b := range base.Scaling {
-		c, ok := curBy[b.Workers]
-		if !ok {
-			fmt.Printf("FAIL server %2d workers: baseline has this point, candidate did not measure it\n", b.Workers)
-			fmt.Fprintf(md, "| %d | %.0f | — | — | FAIL (unmeasured) |\n", b.Workers, b.PerSecond)
-			failed = true
-			continue
-		}
-		delta := c.PerSecond/b.PerSecond - 1
-		status := "ok  "
-		if delta < -threshold {
-			status = "FAIL"
-			failed = true
-		}
-		fmt.Printf("%s server %2d workers: %12.0f ev/s vs baseline %12.0f (%+.1f%%, limit -%.0f%%)\n",
-			status, b.Workers, c.PerSecond, b.PerSecond, delta*100, threshold*100)
-		fmt.Fprintf(md, "| %d | %.0f | %.0f | %+.1f%% | %s |\n",
-			b.Workers, b.PerSecond, c.PerSecond, delta*100, strings.TrimSpace(status))
-	}
-
-	if minScaling >= 0 {
-		var row *eval.PipelineScalingRow
-		for i := range cur.Scaling {
-			if cur.Scaling[i].Workers == minScalingWorkers {
-				row = &cur.Scaling[i]
-				break
-			}
-		}
-		switch {
-		case row == nil:
-			fmt.Printf("FAIL server scaling: candidate has no row at %d workers — the gate cannot certify what it did not measure\n",
-				minScalingWorkers)
-			fmt.Fprintf(md, "\nserver parallel-ingest speedup @ %d workers: **unmeasured** (floor %.2fx) — FAIL\n",
-				minScalingWorkers, minScaling)
-			failed = true
-		case cur.NumCPU < minScalingWorkers:
-			fmt.Printf("skip server scaling: candidate measured on %d CPUs, cannot exhibit a %d-worker speedup; floor %.2fx not enforced\n",
-				cur.NumCPU, minScalingWorkers, minScaling)
-			fmt.Fprintf(md, "\nserver parallel-ingest speedup @ %d workers: %.2fx on %d CPUs — floor %.2fx skipped\n",
-				minScalingWorkers, row.Speedup, cur.NumCPU, minScaling)
-		case row.Speedup < minScaling:
-			fmt.Printf("FAIL server scaling: parallel-ingest speedup %.2fx at %d workers, floor %.2fx (NumCPU %d)\n",
-				row.Speedup, minScalingWorkers, minScaling, cur.NumCPU)
-			fmt.Fprintf(md, "\nserver parallel-ingest speedup @ %d workers: **%.2fx** (floor %.2fx) — FAIL\n",
-				minScalingWorkers, row.Speedup, minScaling)
-			failed = true
-		default:
-			fmt.Printf("ok   server scaling: parallel-ingest speedup %.2fx at %d workers (floor %.2fx, NumCPU %d)\n",
-				row.Speedup, minScalingWorkers, minScaling, cur.NumCPU)
-			fmt.Fprintf(md, "\nserver parallel-ingest speedup @ %d workers: **%.2fx** (floor %.2fx) — ok\n",
-				minScalingWorkers, row.Speedup, minScaling)
-		}
-	}
+	fmt.Printf("%s server ingest: %12.0f ev/s vs baseline %12.0f (%+.1f%%, limit -%.0f%%)\n",
+		status, cur.PerSecond, base.PerSecond, delta*100, threshold*100)
+	fmt.Fprintf(md, "| %.0f | %.0f | %+.1f%% | %s |\n",
+		base.PerSecond, cur.PerSecond, delta*100, strings.TrimSpace(status))
 	return failed
 }
 
@@ -333,8 +280,8 @@ func loadServer(path string) (*eval.ServerBenchResult, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(r.Scaling) == 0 {
-		return nil, fmt.Errorf("%s: no scaling rows", path)
+	if r.PerSecond <= 0 {
+		return nil, fmt.Errorf("%s: no ingest measurement", path)
 	}
 	return &r, nil
 }

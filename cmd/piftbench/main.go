@@ -13,10 +13,10 @@
 // distributions). -workers selects the worker counts the pipeline
 // experiment sweeps, and -events the size of the synthetic corpus its
 // shard-owned scaling sweep drains (0 disables that sweep).
-// -wire-format chooses the trace serialization the pipeline and server
-// sweeps ingest — the block-compressed PIFTTRC2 by default; the pipeline
-// experiment additionally reports the per-corpus v1-vs-v2 compression
-// table and cross-format decode throughput.
+// -wire-format chooses the trace serialization the pipeline sweep and
+// the server experiment ingest — the block-compressed PIFTTRC2 by
+// default; the pipeline experiment additionally reports the per-corpus
+// v1-vs-v2 compression table and cross-format decode throughput.
 //
 // -frontend selects which guest VM's benchmark suite backs the harness:
 // the Dalvik-style register VM (default) or the wasm-style stack VM. Both
@@ -50,10 +50,10 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (all, fig2, table1, fig10, fig11, headline, fig12, fig13, fig14, fig15, fig16, fig17, fig18, jit, stores, cache, categories, allsamples, apps, summary, pipeline, server, stackvm)")
 	feName := flag.String("frontend", "dalvik", "guest front end backing the harness suite: dalvik or stackvm")
 	scale := flag.Int("scale", malware.DefaultScale, "LGRoot workload scale")
-	workers := flag.String("workers", "1,2,4,8", "comma-separated worker counts for -exp pipeline and -exp server")
+	workers := flag.String("workers", "1,2,4,8", "comma-separated worker counts for -exp pipeline")
 	events := flag.Int("events", 1<<21, "synthetic corpus size (events) for -exp pipeline's shard-owned scaling sweep; 0 disables")
 	jsonOut := flag.String("json", "BENCH_pipeline.json", "path for the pipeline experiment's JSON artifact (tables + metrics snapshot); empty disables")
-	serverEvents := flag.Int("server-events", 1<<20, "corpus size (events) for -exp server's session-ingest scaling sweep")
+	serverEvents := flag.Int("server-events", 1<<20, "corpus size (events) for -exp server's whole-session ingest")
 	serverJSON := flag.String("server-json", "BENCH_server.json", "path for the server experiment's JSON artifact; empty disables")
 	wireFormat := flag.String("wire-format", "v2", "trace wire format for the -exp pipeline and -exp server corpora: v1 (PIFTTRC1) or v2 (PIFTTRC2)")
 	flag.Parse()
@@ -214,15 +214,11 @@ func main() {
 	}
 	if run("server") {
 		ok = true
-		counts, err := parseWorkers(*workers)
-		fatal(err)
 		cfg := core.Config{NI: 13, NT: 3, Untaint: true}
-		bench, err := eval.ServerBench(cfg, counts, *serverEvents, 3, format)
+		bench, err := eval.ServerBench(cfg, *serverEvents, 3, format)
 		fatal(err)
-		fmt.Println(eval.RenderScalingTable(
-			fmt.Sprintf("Server session-ingest scaling (synthetic corpus, %d events, %s, NumCPU=%d)",
-				bench.Events, bench.WireFormat, bench.NumCPU),
-			bench.Scaling))
+		fmt.Printf("Server session ingest (synthetic corpus, %d events, %s, NumCPU=%d): %.0f events/s (best of %d, %v)\n",
+			bench.Events, bench.WireFormat, bench.NumCPU, bench.PerSecond, bench.Repeats, bench.Elapsed.Round(time.Microsecond))
 		if *serverJSON != "" {
 			fatal(atomicfile.WriteFile(*serverJSON, bench.WriteJSON))
 			fmt.Printf("(server artifact written to %s)\n", *serverJSON)

@@ -28,11 +28,10 @@
 // runs both and additionally asserts the v2 pass moved fewer wire bytes.
 //
 // -hot N adds N "hot" tenants, each streaming a -hot-events-sized
-// multi-process synthetic corpus in one request — big enough to cross
-// the server's parallel-ingest threshold. Their verdicts are verified
-// against the inline replay in canonical (PID, Seq, Tag) order, which is
-// order-insensitive and therefore holds on both the sequential and the
-// sharded ingest path.
+// multi-process synthetic corpus in one request, so interleaved PIDs and
+// large bodies share the server with the small tenants. Their verdicts
+// are verified against the inline replay in arrival order, as for every
+// other tenant.
 package main
 
 import (
@@ -174,8 +173,7 @@ func checkHealth(client *http.Client, addr string, retries int) error {
 }
 
 // driveHotTenant streams one synthetic multi-process corpus as a single
-// request — the shape that crosses the server's parallel-ingest
-// threshold — and verifies the session's verdicts canonically.
+// request and verifies the session's verdicts in arrival order.
 func driveHotTenant(client *http.Client, addr string, cfg core.Config, i, nevents int, finalize bool, f trace.Format) (int, error) {
 	rec := tracegen.Generate(tracegen.Spec{Seed: int64(1000 + i), Events: nevents})
 	id := fmt.Sprintf("hot-%05d", i)
@@ -188,8 +186,6 @@ func driveHotTenant(client *http.Client, addr string, cfg core.Config, i, nevent
 		return 0, err
 	}
 	want := eval.OneShotVerdicts(rec.Events, cfg)
-	core.SortVerdicts(want)
-	core.SortVerdicts(got)
 	if !eval.VerdictsEqual(got, want) {
 		return 0, fmt.Errorf("verdict mismatch: server %d vs one-shot %d", len(got), len(want))
 	}

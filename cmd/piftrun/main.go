@@ -15,7 +15,6 @@
 // analysis option works unchanged on either.
 //
 //	piftrun -serve -http :8080 [-spill-dir DIR] [-spill-budget BYTES] [-max-streams N]
-//	        [-ingest-workers N] [-worker-budget N] [-parallel-threshold N] [-commit-every N]
 //
 // -workers N routes the event stream through the sharded asynchronous
 // analysis pipeline (internal/pipeline) instead of the in-line tracker.
@@ -70,22 +69,14 @@ func main() {
 	spillDir := flag.String("spill-dir", "", "serve: directory for dehydrated session snapshots (empty = fresh temp dir)")
 	spillBudget := flag.Int64("spill-budget", 64<<20, "serve: resident-bytes budget before cold sessions spill to disk")
 	maxStreams := flag.Int("max-streams", 64, "serve: maximum concurrent ingest streams")
-	ingestWorkers := flag.Int("ingest-workers", 0, "serve: pipeline shards per hot session (0 = GOMAXPROCS-capped auto, 1 disables parallel ingest)")
-	workerBudget := flag.Int("worker-budget", 0, "serve: global cap on pipeline workers loaned across concurrent sessions (0 = auto)")
-	parallelThreshold := flag.Uint64("parallel-threshold", 0, "serve: minimum remaining events in a request before it fans out (0 = default 65536)")
-	commitEvery := flag.Uint64("commit-every", 0, "serve: ack-boundary alignment for streamed parallel ingests (0 = default 65536)")
 	flag.Parse()
 
 	if *serve {
 		cfg := core.Config{NI: *ni, NT: *nt, Untaint: *untaint}
 		scfg := server.Config{
-			SpillDir:          *spillDir,
-			MemoryBudget:      *spillBudget,
-			MaxStreams:        *maxStreams,
-			IngestWorkers:     *ingestWorkers,
-			WorkerBudget:      *workerBudget,
-			ParallelThreshold: *parallelThreshold,
-			CommitEvery:       *commitEvery,
+			SpillDir:     *spillDir,
+			MemoryBudget: *spillBudget,
+			MaxStreams:   *maxStreams,
 		}
 		if err := runServe(*httpAddr, scfg, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "piftrun: serve:", err)

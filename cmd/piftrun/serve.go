@@ -17,10 +17,10 @@ import (
 
 // runServe turns piftrun into the long-lived multi-tenant taint service:
 // the analysis core behind an HTTP ingestion boundary, one logical
-// tracker session per tenant, sessions spilling to disk under the memory
-// budget, hot sessions fanning ingest out over the sharded pipeline. The
-// data plane shares one listener with /metrics, /healthz and
-// /debug/pprof, so the process is scrapeable out of the box.
+// tracker session per tenant consuming its stream in order, sessions
+// spilling to disk under the memory budget; concurrent tenants are what
+// keep the cores busy. The data plane shares one listener with /metrics,
+// /healthz and /debug/pprof, so the process is scrapeable out of the box.
 func runServe(addr string, scfg server.Config, cfg core.Config) error {
 	if addr == "" {
 		return errors.New("-serve requires -http ADDR")
@@ -48,11 +48,7 @@ func runServe(addr string, scfg server.Config, cfg core.Config) error {
 	_, spilled := srv.SessionCount()
 	fmt.Printf("serving taint sessions on %s (tracker %v)\n", addr, cfg)
 	fmt.Printf("  spill dir %s (budget %d bytes, %d sessions recovered)\n", scfg.SpillDir, scfg.MemoryBudget, spilled)
-	w := "auto"
-	if scfg.IngestWorkers > 0 {
-		w = fmt.Sprint(scfg.IngestWorkers)
-	}
-	fmt.Printf("  parallel ingest: %s workers/session (1 disables)\n", w)
+	fmt.Printf("  ingest: one in-order stream per session, tenants in parallel\n")
 	fmt.Printf("  POST /v1/sessions/{id}/events to ingest; /metrics for series\n")
 
 	sig := make(chan os.Signal, 1)

@@ -6,14 +6,14 @@ import (
 	"repro/internal/mem"
 )
 
-// Tracker state partition and merge — the serving layer's bridge between
-// one sequential per-tenant tracker and a sharded pipeline run. Taint
-// state, windows, and verdicts are all keyed by PID (the paper's
-// process-specific ID tags every storage entry, Figure 6), so a tracker
-// splits losslessly along any PID partition: SplitByPID deals each PID's
-// state to its shard, the shards analyze disjoint PID subsequences, and
-// MergeTrackers reassembles one tracker indistinguishable from a
-// sequential run over the whole stream.
+// Tracker state partition and merge — the bridge between one sequential
+// tracker and a sharded pipeline run (perfbench's stage ledger times it
+// on live session state). Taint state, windows, and verdicts are all
+// keyed by PID (the paper's process-specific ID tags every storage entry,
+// Figure 6), so a tracker splits losslessly along any PID partition:
+// SplitByPID deals each PID's state to its shard, the shards analyze
+// disjoint PID subsequences, and MergeTrackers reassembles one tracker
+// indistinguishable from a sequential run over the whole stream.
 //
 // Exactness contract (the same one pipeline.Result documents): counters
 // and per-PID state are exact under split/replay/merge; the

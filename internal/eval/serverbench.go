@@ -1,10 +1,9 @@
 package eval
 
-// Server ingest benchmark: the serving-layer analogue of the pipeline
-// scaling sweep. A real server.Server behind a real HTTP listener
-// ingests a serialized multi-process corpus at each worker count; the
-// artifact it produces (BENCH_server.json) is what CI's
-// server-scaling-gate job compares against the committed baseline.
+// Server ingest benchmark: a real server.Server behind a real HTTP
+// listener ingests a serialized multi-process corpus as one session
+// upload; the artifact it produces (BENCH_server.json) is what CI's
+// server gate compares against the committed baseline.
 
 import (
 	"bytes"
@@ -25,32 +24,27 @@ import (
 )
 
 // ServerBenchResult is the JSON artifact piftbench -exp server writes.
-// Scaling rows measure end-to-end ingest through the HTTP boundary —
-// spool, sharded decode, split/merge, ack — not just tracker math, so
-// the gate certifies what a tenant actually experiences.
+// It times end-to-end ingest through the HTTP boundary — body read,
+// decode, tracker, ack — not just tracker math, so the gate certifies
+// what a tenant actually experiences.
 type ServerBenchResult struct {
 	Config  core.Config `json:"config"`
 	Events  int         `json:"events"`
-	Workers []int       `json:"workers"`
 	Repeats int         `json:"repeats"`
-	// NumCPU records the measuring machine's parallelism; benchgate's
-	// -min-server-scaling floor consults it and skips enforcement on
-	// machines that physically cannot exhibit the gated speedup.
+	// NumCPU records the measuring machine's parallelism.
 	NumCPU int `json:"num_cpu"`
 	// WireFormat is the trace format the corpus crossed the wire in.
-	WireFormat string               `json:"wire_format,omitempty"`
-	Scaling    []PipelineScalingRow `json:"scaling"`
-	Snapshot   metrics.Snapshot     `json:"metrics"`
+	WireFormat string           `json:"wire_format,omitempty"`
+	Elapsed    time.Duration    `json:"elapsed_ns"`   // best-of-repeats ingest wall time
+	PerSecond  float64          `json:"events_per_s"` // Events / Elapsed
+	Snapshot   metrics.Snapshot `json:"metrics"`
 }
 
-// ServerBench times whole-stream session ingest at each worker count
-// over one seeded multi-process corpus serialized in format f,
-// best-of-repeats. Every run's verdicts are checked against the
-// sequential replay in canonical order, so a scaling number can never be
-// quoted on a wrong answer. Worker count 1 disables parallel ingest
-// entirely — it is the sequential baseline the speedup column is
-// relative to.
-func ServerBench(cfg core.Config, workerCounts []int, events, repeats int, f trace.Format) (*ServerBenchResult, error) {
+// ServerBench times whole-stream session ingest of one seeded
+// multi-process corpus serialized in format f, best-of-repeats. Every
+// run's verdicts are checked against the one-shot replay in arrival
+// order, so a throughput number can never be quoted on a wrong answer.
+func ServerBench(cfg core.Config, events, repeats int, f trace.Format) (*ServerBenchResult, error) {
 	if repeats < 1 {
 		repeats = 3
 	}
@@ -61,74 +55,49 @@ func ServerBench(cfg core.Config, workerCounts []int, events, repeats int, f tra
 	}
 	raw := wire.Bytes()
 	want := OneShotVerdicts(rec.Events, cfg)
-	core.SortVerdicts(want)
 
+	dir, err := os.MkdirTemp("", "pift-serverbench-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
 	reg := metrics.NewRegistry()
-	var rows []PipelineScalingRow
-	for _, n := range workerCounts {
-		dir, err := os.MkdirTemp("", "pift-serverbench-*")
-		if err != nil {
-			return nil, err
-		}
-		srv, err := server.New(server.Config{
-			Tracker:           cfg,
-			SpillDir:          dir,
-			Registry:          reg,
-			MemoryBudget:      1 << 40, // never spill mid-measurement
-			IngestWorkers:     n,
-			WorkerBudget:      n,
-			ParallelThreshold: 1,
-			SpoolMemBytes:     int64(len(raw)) + 1, // spool in memory, measure compute not disk
-			MaxSpoolBytes:     int64(len(raw)) + 1,
-		})
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		mux := http.NewServeMux()
-		srv.Register(mux)
-		ts := httptest.NewServer(mux)
+	srv, err := server.New(server.Config{
+		Tracker:      cfg,
+		SpillDir:     dir,
+		Registry:     reg,
+		MemoryBudget: 1 << 40, // never spill mid-measurement
+	})
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
 
-		best := time.Duration(0)
-		for k := 0; k < repeats; k++ {
-			id := fmt.Sprintf("bench-w%d-r%d", n, k)
-			elapsed, err := timedIngest(ts, id, raw, uint64(events))
-			if err == nil {
-				err = checkFinalize(ts, id, want)
-			}
-			if err != nil {
-				ts.Close()
-				os.RemoveAll(dir)
-				return nil, fmt.Errorf("eval: server bench %d workers repeat %d: %w", n, k, err)
-			}
-			if best == 0 || elapsed < best {
-				best = elapsed
-			}
+	best := time.Duration(0)
+	for k := 0; k < repeats; k++ {
+		id := fmt.Sprintf("bench-r%d", k)
+		elapsed, err := timedIngest(ts, id, raw, uint64(events))
+		if err == nil {
+			err = checkFinalize(ts, id, want)
 		}
-		ts.Close()
-		os.RemoveAll(dir)
-
-		row := PipelineScalingRow{
-			Workers:   n,
-			Events:    events,
-			Elapsed:   best,
-			PerSecond: float64(events) / best.Seconds(),
+		if err != nil {
+			return nil, fmt.Errorf("eval: server bench repeat %d: %w", k, err)
 		}
-		if len(rows) > 0 {
-			row.Speedup = row.PerSecond / rows[0].PerSecond
-		} else {
-			row.Speedup = 1
+		if best == 0 || elapsed < best {
+			best = elapsed
 		}
-		rows = append(rows, row)
 	}
 	return &ServerBenchResult{
 		Config:     cfg,
 		Events:     events,
-		Workers:    workerCounts,
 		Repeats:    repeats,
 		NumCPU:     runtime.NumCPU(),
 		WireFormat: f.String(),
-		Scaling:    rows,
+		Elapsed:    best,
+		PerSecond:  float64(events) / best.Seconds(),
 		Snapshot:   reg.Snapshot(),
 	}, nil
 }
@@ -161,8 +130,8 @@ func timedIngest(ts *httptest.Server, id string, raw []byte, events uint64) (tim
 }
 
 // checkFinalize DELETEs the session — freeing its tracker before the
-// next repeat — and verifies the returned verdicts match the sequential
-// replay in canonical order.
+// next repeat — and verifies the returned verdicts match the one-shot
+// replay in arrival order.
 func checkFinalize(ts *httptest.Server, id string, want []core.SinkVerdict) error {
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil)
 	if err != nil {
@@ -182,9 +151,8 @@ func checkFinalize(ts *httptest.Server, id string, want []core.SinkVerdict) erro
 	for i, v := range vr.Verdicts {
 		got[i] = core.SinkVerdict{Tag: v.Tag, PID: v.PID, Seq: v.Seq, Tainted: v.Tainted}
 	}
-	core.SortVerdicts(got)
 	if !VerdictsEqual(got, want) {
-		return fmt.Errorf("verdicts diverge from sequential replay (%d vs %d)", len(got), len(want))
+		return fmt.Errorf("verdicts diverge from one-shot replay (%d vs %d)", len(got), len(want))
 	}
 	return nil
 }

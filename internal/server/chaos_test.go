@@ -22,11 +22,11 @@ import (
 // neither set, the full matrix runs as subtests.
 var (
 	netSeed = flag.Int64("chaos.seed", 0, "run only this seed of the network chaos matrix (0 = all)")
-	netMode = flag.String("chaos.mode", "", "run only this fault mode: conn-cut, slow-loris, conn-cut-parallel ('' = all)")
+	netMode = flag.String("chaos.mode", "", "run only this fault mode: conn-cut, slow-loris ('' = all)")
 )
 
 var netSeeds = []int64{11, 23, 37, 41, 53, 67, 79, 97}
-var netModes = []string{"conn-cut", "slow-loris", "conn-cut-parallel"}
+var netModes = []string{"conn-cut", "slow-loris"}
 
 // TestServerChaosMatrix is the serving layer's resumed-equals-clean
 // proof. conn-cut tears the client connection at a seeded byte offset on
@@ -62,18 +62,8 @@ func TestServerChaosMatrix(t *testing.T) {
 func runNetChaosCell(t *testing.T, mode string, seed int64) {
 	h := sharedHarness(t)
 	// A small budget keeps the spill machinery in play while the faults
-	// fire: a session torn mid-stream may dehydrate before its retry. The
-	// parallel cell additionally forces every attempt through the sharded
-	// ingest path, so partial commits and resumes cross the split/merge
-	// machinery instead of the sequential drain.
-	s := newTestService(t, func(c *server.Config) {
-		c.MemoryBudget = 4 << 10
-		if mode == "conn-cut-parallel" {
-			c.IngestWorkers = 4
-			c.WorkerBudget = 8
-			c.ParallelThreshold = 1
-		}
-	})
+	// fire: a session torn mid-stream may dehydrate before its retry.
+	s := newTestService(t, func(c *server.Config) { c.MemoryBudget = 4 << 10 })
 	in := chaos.New(seed)
 
 	events, err := h.TenantEvents(int(seed))
@@ -85,7 +75,7 @@ func runNetChaosCell(t *testing.T, mode string, seed int64) {
 
 	f := chaos.NoConnFaults()
 	switch mode {
-	case "conn-cut", "conn-cut-parallel":
+	case "conn-cut":
 		// Below the body length, so the tear always fires (request headers
 		// push the total connection bytes past the body), but past the
 		// headers and stream header, so every attempt lands at least one
@@ -137,14 +127,8 @@ func runNetChaosCell(t *testing.T, mode string, seed int64) {
 			t.Fatalf("attempt %d: status %d", attempt, resp.StatusCode)
 		}
 	}
-	if (mode == "conn-cut" || mode == "conn-cut-parallel") && cut == 0 {
+	if mode == "conn-cut" && cut == 0 {
 		t.Fatal("connection cut never fired — the cell proved nothing")
-	}
-	if mode == "conn-cut-parallel" {
-		snap := s.reg.Snapshot().Counters
-		if snap["pift_server_parallel_ingests_total"] == 0 {
-			t.Fatal("parallel cell never committed through the sharded pipeline")
-		}
 	}
 
 	got := s.verdicts(t, id)

@@ -2,248 +2,170 @@ package server_test
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/eval"
-	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/trace/tracegen"
 )
 
-// parallelCfg opts a test service into the sharded ingest path for every
-// request: four shards, budget to cover them, threshold low enough that
-// DroidBench-sized streams qualify.
-func parallelCfg(c *server.Config) {
-	c.IngestWorkers = 4
-	c.WorkerBudget = 8
-	c.ParallelThreshold = 1
+// parallelTenants is how many sessions each test below drives at once
+// against one service. A session ingests its bodies in order on one
+// route, so the server's parallelism lies across tenants; these tests
+// pin that concurrent sessions keep the single-session contract exactly.
+const parallelTenants = 4
+
+// eachTenant runs body for parallelTenants sessions as parallel
+// subtests; tenant i gets session id prefix-i.
+func eachTenant(t *testing.T, prefix string, body func(t *testing.T, i int, id string)) {
+	for i := 0; i < parallelTenants; i++ {
+		i, id := i, fmt.Sprintf("%s-%d", prefix, i)
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			body(t, i, id)
+		})
+	}
 }
 
-func counterOf(s *testService, name string) uint64 {
-	return s.reg.Snapshot().Counters[name]
-}
-
-// TestParallelIngestParity: a whole-stream upload on a parallel service
-// commits through the sharded pipeline and stays byte-identical to the
-// one-shot replay — verdicts, ack offset, and stats counters.
+// TestParallelIngestParity: concurrent whole-stream uploads each stay
+// byte-identical to their one-shot replay — verdicts, ack offset, and
+// the full stats, watermarks included.
 func TestParallelIngestParity(t *testing.T) {
 	h := sharedHarness(t)
-	s := newTestService(t, parallelCfg)
-	events, err := h.TenantEvents(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ir, code := s.post(t, "par-alpha", events, 0, len(events))
-	if code != http.StatusOK || ir.Acked != uint64(len(events)) || ir.Ingested != uint64(len(events)) {
-		t.Fatalf("status %d %+v, want acked %d", code, ir, len(events))
-	}
-	if counterOf(s, "pift_server_parallel_ingests_total") == 0 {
-		t.Fatal("request never took the parallel path")
-	}
-	requireParity(t, s.verdicts(t, "par-alpha"), eval.OneShotVerdicts(events, testCfg), "parallel-whole")
-
-	seq := core.NewTracker(testCfg, nil)
-	for _, ev := range events {
-		seq.Event(ev)
-	}
-	st := s.stats(t, "par-alpha")
-	if st.Stats != seq.Stats() {
-		t.Fatalf("stats diverge:\nserver %+v\nseq    %+v", st.Stats, seq.Stats())
-	}
-	if g := s.reg.Snapshot().Gauges["pift_server_ingest_workers_loaned"]; g != 0 {
-		t.Fatalf("worker loans leaked: %d", g)
-	}
-}
-
-// TestParallelMultiPIDParity feeds an interleaved multi-process stream:
-// the parallel session's verdicts must equal the sequential replay in
-// canonical (PID, Seq, Tag) order and its counters must match exactly.
-func TestParallelMultiPIDParity(t *testing.T) {
-	events := tracegen.Generate(tracegen.Spec{Seed: 21, Events: 30000, PIDs: 16}).Events
-	s := newTestService(t, parallelCfg)
-	ir, code := s.post(t, "par-multi", events, 0, len(events))
-	if code != http.StatusOK || ir.Acked != uint64(len(events)) {
-		t.Fatalf("status %d %+v", code, ir)
-	}
-	if counterOf(s, "pift_server_parallel_ingests_total") == 0 {
-		t.Fatal("request never took the parallel path")
-	}
-	want := eval.OneShotVerdicts(events, testCfg)
-	core.SortVerdicts(want)
-	requireParity(t, s.verdicts(t, "par-multi"), want, "parallel-multi-pid")
-
-	seq := core.NewTracker(testCfg, nil)
-	for _, ev := range events {
-		seq.Event(ev)
-	}
-	st := s.stats(t, "par-multi")
-	a, b := st.Stats, seq.Stats()
-	a.MaxBytes, a.MaxRanges = 0, 0
-	b.MaxBytes, b.MaxRanges = 0, 0
-	if a != b {
-		t.Fatalf("counters diverge:\nserver %+v\nseq    %+v", a, b)
-	}
-}
-
-// TestParallelChunkedResume: the resumable-offset protocol is unchanged
-// under parallel ingest — chunk acks land on chunk ends, duplicates are
-// no-ops, and the stitched stream matches the one-shot replay.
-func TestParallelChunkedResume(t *testing.T) {
-	h := sharedHarness(t)
-	s := newTestService(t, parallelCfg)
-	events, err := h.TenantEvents(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const chunks = 5
-	per := (len(events) + chunks - 1) / chunks
-	for start := 0; start < len(events); start += per {
-		end := start + per
-		if end > len(events) {
-			end = len(events)
-		}
-		ir, code := s.post(t, "par-chunk", events, start, end)
-		if code != http.StatusOK || ir.Acked != uint64(end) {
-			t.Fatalf("chunk [%d,%d): status %d %+v", start, end, code, ir)
-		}
-	}
-	if ir, code := s.post(t, "par-chunk", events, 0, per); code != http.StatusOK || ir.Ingested != 0 {
-		t.Fatalf("duplicate chunk: status %d %+v", code, ir)
-	}
-	requireParity(t, s.verdicts(t, "par-chunk"), eval.OneShotVerdicts(events, testCfg), "parallel-chunked")
-}
-
-// TestParallelTornBody mirrors TestDisconnectResume on the parallel
-// path: a body cut mid-record gets the same 400 "truncated", the same
-// per-event ack (the spooled prefix replays sequentially), and resuming
-// from the ack converges to the one-shot verdicts.
-func TestParallelTornBody(t *testing.T) {
-	h := sharedHarness(t)
-	s := newTestService(t, parallelCfg)
-	events, err := h.TenantEvents(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := eval.EncodeTrace(events)
-	k := len(events) / 2
-	cut := trace.HeaderSize + k*trace.EventSize + trace.EventSize/2
-	ir, code := s.postRaw(t, "par-torn", full[:cut], 0)
-	if code != http.StatusBadRequest || ir.Error != "truncated" {
-		t.Fatalf("torn upload: status %d %+v", code, ir)
-	}
-	if ir.Acked != uint64(k) {
-		t.Fatalf("torn upload: acked %d, want %d", ir.Acked, k)
-	}
-	ir2, code := s.post(t, "par-torn", events, int(ir.Acked), len(events))
-	if code != http.StatusOK || ir2.Acked != uint64(len(events)) {
-		t.Fatalf("resume: status %d %+v", code, ir2)
-	}
-	requireParity(t, s.verdicts(t, "par-torn"), eval.OneShotVerdicts(events, testCfg), "parallel-torn")
-}
-
-// TestParallelSpillByteIdentity: after identical single-PID uploads, a
-// sequential service and a parallel one must write byte-identical
-// PIFTSES1 spill files — the canonical snapshot codec erases any trace
-// of how the tracker state was computed.
-func TestParallelSpillByteIdentity(t *testing.T) {
-	h := sharedHarness(t)
-	events, err := h.TenantEvents(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spillOf := func(s *testService) []byte {
-		t.Helper()
-		matches, err := filepath.Glob(filepath.Join(s.dir, "*.sess"))
-		if err != nil || len(matches) != 1 {
-			t.Fatalf("spill files %v err %v, want exactly one", matches, err)
-		}
-		b, err := os.ReadFile(matches[0])
+	s := newTestService(t, nil)
+	eachTenant(t, "par-alpha", func(t *testing.T, i int, id string) {
+		events, err := h.TenantEvents(6 + i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
-	}
-	seq := newTestService(t, func(c *server.Config) { c.MemoryBudget = 1 })
-	par := newTestService(t, func(c *server.Config) { parallelCfg(c); c.MemoryBudget = 1 })
-	for _, s := range []*testService{seq, par} {
-		if ir, code := s.post(t, "spill-id", events, 0, len(events)); code != http.StatusOK {
-			t.Fatalf("ingest: status %d %+v", code, ir)
+		ir, code := s.post(t, id, events, 0, len(events))
+		if code != http.StatusOK || ir.Acked != uint64(len(events)) || ir.Ingested != uint64(len(events)) {
+			t.Fatalf("status %d %+v, want acked %d", code, ir, len(events))
 		}
-	}
-	if counterOf(par, "pift_server_parallel_ingests_total") == 0 {
-		t.Fatal("parallel service never took the parallel path")
-	}
-	if !bytes.Equal(spillOf(seq), spillOf(par)) {
-		t.Fatal("spill files diverge between sequential and parallel ingest")
-	}
+		requireParity(t, s.verdicts(t, id), eval.OneShotVerdicts(events, testCfg), id)
+		requireStats(t, s, id, events)
+	})
 }
 
-// TestStreamingCommitPath drives the push-path drain (spooling disabled)
-// with externally-owned commits: whole-stream success, then a torn body
-// whose ack lands on the last CommitEvery-aligned boundary, and a resume
-// from that boundary that converges to the one-shot verdicts.
-func TestStreamingCommitPath(t *testing.T) {
-	const every = 64
+// TestParallelChunkedResume: the resumable-offset protocol holds while
+// other tenants ingest — chunk acks land on chunk ends, duplicates are
+// no-ops, and each stitched stream matches its one-shot replay.
+func TestParallelChunkedResume(t *testing.T) {
 	h := sharedHarness(t)
-	s := newTestService(t, func(c *server.Config) {
-		parallelCfg(c)
-		c.MaxSpoolBytes = -1
-		c.CommitEvery = every
+	s := newTestService(t, nil)
+	eachTenant(t, "par-chunk", func(t *testing.T, i int, id string) {
+		events, err := h.TenantEvents(7 + i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const chunks = 5
+		per := (len(events) + chunks - 1) / chunks
+		for start := 0; start < len(events); start += per {
+			end := start + per
+			if end > len(events) {
+				end = len(events)
+			}
+			ir, code := s.post(t, id, events, start, end)
+			if code != http.StatusOK || ir.Acked != uint64(end) {
+				t.Fatalf("chunk [%d,%d): status %d %+v", start, end, code, ir)
+			}
+		}
+		if ir, code := s.post(t, id, events, 0, per); code != http.StatusOK || ir.Ingested != 0 {
+			t.Fatalf("duplicate chunk: status %d %+v", code, ir)
+		}
+		requireParity(t, s.verdicts(t, id), eval.OneShotVerdicts(events, testCfg), id)
 	})
-	events, err := h.TenantEvents(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ir, code := s.post(t, "stream-ok", events, 0, len(events))
-	if code != http.StatusOK || ir.Acked != uint64(len(events)) {
-		t.Fatalf("whole stream: status %d %+v", code, ir)
-	}
-	if counterOf(s, "pift_server_parallel_ingests_total") == 0 {
-		t.Fatal("request never took the streaming parallel path")
-	}
-	requireParity(t, s.verdicts(t, "stream-ok"), eval.OneShotVerdicts(events, testCfg), "streaming-whole")
-
-	full := eval.EncodeTrace(events)
-	k := len(events)/2 + 7 // deliberately off the commit grid
-	cut := trace.HeaderSize + k*trace.EventSize + trace.EventSize/2
-	ir, code = s.postRaw(t, "stream-torn", full[:cut], 0)
-	if code != http.StatusBadRequest || ir.Error != "truncated" {
-		t.Fatalf("torn upload: status %d %+v", code, ir)
-	}
-	boundary := uint64(k - k%every)
-	if ir.Acked != boundary {
-		t.Fatalf("torn upload: acked %d, want boundary %d (k=%d)", ir.Acked, boundary, k)
-	}
-	ir2, code := s.post(t, "stream-torn", events, int(ir.Acked), len(events))
-	if code != http.StatusOK || ir2.Acked != uint64(len(events)) {
-		t.Fatalf("resume: status %d %+v", code, ir2)
-	}
-	requireParity(t, s.verdicts(t, "stream-torn"), eval.OneShotVerdicts(events, testCfg), "streaming-torn")
 }
 
-// TestWorkerBudgetExhausted: with a budget that cannot cover two shards,
-// every request degrades to the sequential path — correct results, zero
-// parallel commits.
-func TestWorkerBudgetExhausted(t *testing.T) {
+// TestParallelTornBody: concurrent bodies cut mid-record each get 400
+// "truncated" with a per-event ack, and resuming from the ack converges
+// to the one-shot verdicts.
+func TestParallelTornBody(t *testing.T) {
 	h := sharedHarness(t)
-	s := newTestService(t, func(c *server.Config) {
-		parallelCfg(c)
-		c.WorkerBudget = 1
+	s := newTestService(t, nil)
+	eachTenant(t, "par-torn", func(t *testing.T, i int, id string) {
+		events, err := h.TenantEvents(8 + i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := eval.EncodeTrace(events)
+		k := len(events) / 2
+		cut := trace.HeaderSize + k*trace.EventSize + trace.EventSize/2
+		ir, code := s.postRaw(t, id, full[:cut], 0)
+		if code != http.StatusBadRequest || ir.Error != "truncated" {
+			t.Fatalf("torn upload: status %d %+v", code, ir)
+		}
+		if ir.Acked != uint64(k) {
+			t.Fatalf("torn upload: acked %d, want %d", ir.Acked, k)
+		}
+		ir2, code := s.post(t, id, events, int(ir.Acked), len(events))
+		if code != http.StatusOK || ir2.Acked != uint64(len(events)) {
+			t.Fatalf("resume: status %d %+v", code, ir2)
+		}
+		requireParity(t, s.verdicts(t, id), eval.OneShotVerdicts(events, testCfg), id)
 	})
-	events, err := h.TenantEvents(1)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestParallelIngestV2 drives concurrent multi-block, multi-PID PIFTTRC2
+// uploads: a declared-length body ("spooled", the name of the route that
+// once buffered such bodies), a torn declared-length body that acks at
+// the last whole block and resumes ("spooled-torn"), and a chunked body
+// with no Content-Length ("chunked-stream"). Every session ends with
+// verdicts in arrival order and stats equal to the sequential replay.
+func TestParallelIngestV2(t *testing.T) {
+	const n = 6*trace.DefaultBlockEvents + 500
+	streams := make([][]cpu.Event, parallelTenants)
+	for i := range streams {
+		streams[i] = tracegen.Generate(tracegen.Spec{Seed: 41 + int64(i), Events: n, PIDs: 8}).Events
 	}
-	ir, code := s.post(t, "starved", events, 0, len(events))
-	if code != http.StatusOK || ir.Acked != uint64(len(events)) {
-		t.Fatalf("status %d %+v", code, ir)
+	run := func(t *testing.T, upload func(t *testing.T, s *testService, id string, events []cpu.Event)) {
+		s := newTestService(t, nil)
+		eachTenant(t, "v2-par", func(t *testing.T, i int, id string) {
+			events := streams[i]
+			upload(t, s, id, events)
+			requireParity(t, s.verdicts(t, id), eval.OneShotVerdicts(events, testCfg), id)
+			requireStats(t, s, id, events)
+		})
 	}
-	if n := counterOf(s, "pift_server_parallel_ingests_total"); n != 0 {
-		t.Fatalf("starved budget still ran %d parallel ingests", n)
-	}
-	requireParity(t, s.verdicts(t, "starved"), eval.OneShotVerdicts(events, testCfg), "starved")
+
+	t.Run("spooled", func(t *testing.T) {
+		run(t, func(t *testing.T, s *testService, id string, events []cpu.Event) {
+			if ir, code := s.postV2(t, id, events, 0, n); code != http.StatusOK || ir.Acked != uint64(n) {
+				t.Fatalf("status %d %+v", code, ir)
+			}
+		})
+	})
+
+	t.Run("spooled-torn", func(t *testing.T) {
+		run(t, func(t *testing.T, s *testService, id string, events []cpu.Event) {
+			full := eval.EncodeTraceFormat(events, trace.FormatV2)
+			idx, err := trace.LoadIndex(bytes.NewReader(full))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := int(idx.Block(4).Offset) + 13
+			ir, code := s.postRaw(t, id, full[:cut], 0)
+			if code != http.StatusBadRequest || ir.Error != "truncated" {
+				t.Fatalf("torn: status %d %+v", code, ir)
+			}
+			if ir.Acked != idx.Block(4).First {
+				t.Fatalf("torn: acked %d, want block boundary %d", ir.Acked, idx.Block(4).First)
+			}
+			if ir2, code := s.postV2(t, id, events, int(ir.Acked), n); code != http.StatusOK || ir2.Acked != uint64(n) {
+				t.Fatalf("resume: status %d %+v", code, ir2)
+			}
+		})
+	})
+
+	t.Run("chunked-stream", func(t *testing.T) {
+		run(t, func(t *testing.T, s *testService, id string, events []cpu.Event) {
+			full := eval.EncodeTraceFormat(events, trace.FormatV2)
+			if ir, code := s.postReader(t, id, bytes.NewReader(full), 0); code != http.StatusOK || ir.Acked != uint64(n) {
+				t.Fatalf("status %d %+v", code, ir)
+			}
+		})
+	})
 }

@@ -1,4 +1,4 @@
-// Package server turns the PIFT analysis pipeline into a long-running
+// Package server turns the PIFT tracker into a long-running
 // multi-tenant taint service — the paper's decoupled analysis core
 // (§3) lifted to a network boundary. Devices ship their recorded event
 // streams (the trace wire format, chunked or whole) over HTTP; the server
@@ -33,17 +33,21 @@
 // ack deduplicate — already-applied events are skipped; an offset past
 // the ack is a gap and is refused with 409. Every ingest response carries
 // PIFT-Ack-Offset, the session's new checkpoint.
+//
+// Each session consumes its stream in order through one tracker, so GET
+// /verdicts and DELETE return verdicts in arrival order: the order a
+// one-shot replay of the acknowledged stream records them
+// (eval.OneShotVerdicts), however many PIDs the stream interleaves and
+// however it was split across requests.
 package server
 
 import (
-	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -72,34 +76,6 @@ type Config struct {
 	// Registry receives the serving metrics; nil disables them.
 	Registry *metrics.Registry
 
-	// IngestWorkers is how many pipeline shards one session's ingest may
-	// fan out to. <= 0 selects min(GOMAXPROCS, 8); 1 keeps every session
-	// on the sequential path.
-	IngestWorkers int
-	// WorkerBudget caps the total pipeline workers loaned out across all
-	// concurrently parallel sessions, so a stampede of hot tenants
-	// degrades to sequential ingest instead of oversubscribing the
-	// machine. <= 0 selects max(IngestWorkers, GOMAXPROCS).
-	WorkerBudget int
-	// ParallelThreshold is the minimum number of new (post-dedup) events
-	// a request must carry before its session fans out; smaller bodies
-	// stay sequential — the split/merge round trip costs more than it
-	// saves. <= 0 selects 65536.
-	ParallelThreshold uint64
-	// CommitEvery aligns the streaming parallel path's partial commits:
-	// the shards are quiesced and merged back into the session tracker at
-	// every CommitEvery-multiple of the absolute event offset, so a
-	// failed stream acks at a boundary and the client resumes from there.
-	// <= 0 selects 65536.
-	CommitEvery uint64
-	// MaxSpoolBytes bounds the request-body spool that enables the
-	// seekable shard-owned drain; bigger bodies use the streaming push
-	// path. 0 selects 256 MiB; negative disables spooling entirely.
-	MaxSpoolBytes int64
-	// SpoolMemBytes is the spool size up to which bodies buffer in
-	// memory; larger spools go to a temp file in SpillDir. <= 0 selects
-	// 4 MiB.
-	SpoolMemBytes int64
 	// SnapshotCache is how many hydrated peek snapshots of spilled
 	// sessions to keep for query traffic. 0 selects 8; negative disables
 	// the cache.
@@ -116,30 +92,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.IngestWorkers <= 0 {
-		c.IngestWorkers = runtime.GOMAXPROCS(0)
-		if c.IngestWorkers > 8 {
-			c.IngestWorkers = 8
-		}
-	}
-	if c.WorkerBudget <= 0 {
-		c.WorkerBudget = runtime.GOMAXPROCS(0)
-		if c.WorkerBudget < c.IngestWorkers {
-			c.WorkerBudget = c.IngestWorkers
-		}
-	}
-	if c.ParallelThreshold <= 0 {
-		c.ParallelThreshold = 65536
-	}
-	if c.CommitEvery <= 0 {
-		c.CommitEvery = 65536
-	}
-	if c.MaxSpoolBytes == 0 {
-		c.MaxSpoolBytes = 256 << 20
-	}
-	if c.SpoolMemBytes <= 0 {
-		c.SpoolMemBytes = 4 << 20
-	}
 	if c.SnapshotCache == 0 {
 		c.SnapshotCache = 8
 	}
@@ -152,7 +104,6 @@ type Server struct {
 	cfg     Config
 	m       *serverMetrics
 	streams chan struct{} // counting semaphore on concurrent ingests
-	budget  *workerBudget // global loan pool for parallel-ingest shards
 	cache   *peekCache    // hydrated snapshots of spilled sessions; nil when disabled
 
 	mu        sync.Mutex
@@ -178,7 +129,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		m:        newServerMetrics(cfg.Registry),
 		streams:  make(chan struct{}, cfg.MaxStreams),
-		budget:   newWorkerBudget(cfg.WorkerBudget),
 		cache:    newPeekCache(cfg.SnapshotCache),
 		sessions: make(map[string]*session),
 		lru:      list.New(),
@@ -317,26 +267,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestLocked streams one request body into sess's tracker. Caller holds
-// sess.mu. Events decoded before any failure are committed and reflected
-// in the returned ack — the resume contract (the parallel streaming path
-// commits at CommitEvery-aligned offsets; every other path commits every
-// decoded event, exactly as the sequential server always has).
+// sess.mu. A trace.Reader decodes the byte-counting body, Skip drops the
+// overlap the session has already acknowledged, and NextBatch feeds the
+// session tracker in arrival order. Every decoded event is applied and
+// acknowledged at once, so events decoded before any failure are
+// committed and reflected in the returned ack — the resume contract.
 //
-// Routing: the fixed 16-byte wire header — identical in shape for
-// PIFTTRC1 and PIFTTRC2, so the magic and declared event count are
-// known before any decode path is chosen — is pre-read. Small or
-// budget-starved requests take the legacy sequential loop; large ones
-// fan out across pipeline shards, preferring the seekable shard-owned
-// drain over a spooled copy of the body and falling back to the push
-// path when the body is too big to spool (or, for v2, when the
-// transport didn't declare a length to spool by).
-//
-// Both formats share one resume contract, expressed in event counts: a
-// cut PIFTTRC1 body acks at the exact event the cut landed on, a cut
-// PIFTTRC2 body at the last whole block decoded before it — the reader
-// refuses a torn or CRC-damaged block outright, so no partial-block
-// event is ever applied — and the client resends from the ack either
-// way.
+// Both formats share that contract, expressed in event counts: a cut
+// PIFTTRC1 body acks at the exact event the cut landed on, a cut PIFTTRC2
+// body at the last whole block decoded before it — the reader refuses a
+// torn or CRC-damaged block outright, so no partial-block event is ever
+// applied — and the client resends from the ack either way.
 func (s *Server) ingestLocked(sess *session, r *http.Request) (IngestResponse, *IngestError) {
 	resp := IngestResponse{Session: sess.id, Acked: sess.acked.Load()}
 	if sess.tr == nil && !sess.spilled.Load() {
@@ -380,85 +321,39 @@ func (s *Server) ingestLocked(sess *session, r *http.Request) (IngestResponse, *
 		sess.mBytes.Add(uint64(cr.n))
 		s.m.ingestBytes.Add(uint64(cr.n))
 	}()
-	// Pre-read the fixed-size header. Parsing it through trace.NewReader
-	// over exactly the bytes (and terminal error) the body yielded keeps
-	// the error classification byte-for-byte what the legacy in-line
-	// reader produced on short, garbled, or reset-mid-header bodies.
-	var hdr [trace.HeaderSize]byte
-	hn, herr := io.ReadFull(cr, hdr[:])
-	htr, err := trace.NewReader(headerBytes(hdr[:hn], herr))
+	tr, err := trace.NewReader(cr)
 	if err != nil {
 		return resp, classifyIngest(err)
 	}
-	declared := htr.Len()
 	// Deduplicate the overlap: events before the ack were applied by an
 	// earlier request (or an earlier attempt of this one).
-	skip := acked - bodyStart
-	if skip > 0 && skip >= declared {
-		return resp, nil // the whole body is a duplicate
-	}
-
-	verdictsBefore := len(sess.tr.Verdicts())
-	if grant := s.grantWorkers(declared - skip); grant > 1 {
-		s.m.workersLoaned.Add(int64(grant))
-		defer func() {
-			s.budget.release(grant)
-			s.m.workersLoaned.Add(int64(-grant))
-		}()
-		// How many body bytes must the spool capture? PIFTTRC1 is pure
-		// arithmetic over the fixed record stride. PIFTTRC2 blocks have no
-		// size formula, so the transport's declared length stands in; a
-		// chunked v2 body (ContentLength < 0) can't be sized and streams.
-		expect := int64(trace.HeaderSize) + int64(declared)*trace.EventSize
-		if htr.Format() == trace.FormatV2 {
-			expect = r.ContentLength
+	if skip := acked - bodyStart; skip > 0 {
+		if skip >= tr.Len() {
+			return resp, nil // the whole body is a duplicate
 		}
-		resp, ierr := s.ingestParallel(sess, cr, hdr[:], expect, declared, skip, grant, resp)
-		s.finishIngest(sess, &resp, verdictsBefore)
-		return resp, ierr
-	}
-
-	tr, err := trace.NewReader(io.MultiReader(headerBytes(hdr[:hn], herr), cr))
-	if err != nil {
-		return resp, classifyIngest(err)
-	}
-	if skip > 0 {
 		if err := tr.Skip(skip); err != nil {
 			return resp, classifyIngest(err)
 		}
 	}
-	ierr := drainSequential(sess, tr, &resp)
-	s.finishIngest(sess, &resp, verdictsBefore)
-	return resp, ierr
-}
 
-// drainSequential is the legacy single-tracker decode loop: every decoded
-// event is applied and acknowledged immediately, so a cut stream acks at
-// the exact event the cut landed on.
-func drainSequential(sess *session, tr *trace.Reader, resp *IngestResponse) *IngestError {
+	verdictsBefore := len(sess.tr.Verdicts())
+	var ierr *IngestError
 	dst := make([]cpu.Event, ingestBatchSize)
 	for {
 		n, err := tr.NextBatch(dst)
 		for i := 0; i < n; i++ {
 			sess.tr.Event(dst[i])
 		}
-		if n > 0 {
-			sess.acked.Add(uint64(n))
-			resp.Ingested += uint64(n)
-		}
-		if err == io.EOF {
-			return nil
-		}
+		sess.acked.Add(uint64(n))
+		resp.Ingested += uint64(n)
 		if err != nil {
-			return classifyIngest(err)
+			if err != io.EOF {
+				ierr = classifyIngest(err)
+			}
+			break
 		}
 	}
-}
 
-// finishIngest settles per-request bookkeeping common to every drain
-// path: the response ack, tenant metric deltas, the snapshot-cache
-// generation bump, and the LRU touch.
-func (s *Server) finishIngest(sess *session, resp *IngestResponse, verdictsBefore int) {
 	resp.Acked = sess.acked.Load()
 	sess.mEvents.Add(resp.Ingested)
 	sess.mVerdicts.Add(uint64(len(sess.tr.Verdicts()) - verdictsBefore))
@@ -466,32 +361,7 @@ func (s *Server) finishIngest(sess *session, resp *IngestResponse, verdictsBefor
 		sess.gen.Add(1)
 	}
 	s.touch(sess)
-}
-
-// headerBytes replays a pre-read body prefix as a reader that ends with
-// the terminal error the body actually produced (terr nil for a complete
-// read), so downstream decoding classifies short or reset bodies exactly
-// as if it had read the body directly.
-func headerBytes(prefix []byte, terr error) io.Reader {
-	r := io.Reader(bytes.NewReader(prefix))
-	if terr != nil {
-		r = &tornTail{r: r, err: terr}
-	}
-	return r
-}
-
-// tornTail yields r's bytes, then its recorded error in place of io.EOF.
-type tornTail struct {
-	r   io.Reader
-	err error
-}
-
-func (t *tornTail) Read(p []byte) (int, error) {
-	n, err := t.r.Read(p)
-	if err == io.EOF {
-		err = t.err
-	}
-	return n, err
+	return resp, ierr
 }
 
 // countingBody counts bytes drawn from a request body, for per-tenant

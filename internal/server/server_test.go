@@ -18,6 +18,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/trace"
+	"repro/internal/trace/tracegen"
 )
 
 var testCfg = core.Config{NI: 13, NT: 3, Untaint: true}
@@ -155,10 +156,50 @@ func (s *testService) stats(t *testing.T, id string) server.StatsResponse {
 	}
 }
 
+// finalize DELETEs the session and returns its final verdicts.
+func (s *testService) finalize(t *testing.T, id string) []core.SinkVerdict {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, s.base(id), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var vr server.VerdictsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&vr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE %s: status %d err %v", id, resp.StatusCode, err)
+	}
+	out := make([]core.SinkVerdict, len(vr.Verdicts))
+	for i, v := range vr.Verdicts {
+		out[i] = core.SinkVerdict{Tag: v.Tag, PID: v.PID, Seq: v.Seq, Tainted: v.Tainted}
+	}
+	return out
+}
+
+func counterOf(s *testService, name string) uint64 {
+	return s.reg.Snapshot().Counters[name]
+}
+
 func requireParity(t *testing.T, got, want []core.SinkVerdict, label string) {
 	t.Helper()
 	if !eval.VerdictsEqual(got, want) {
 		t.Fatalf("%s: verdict mismatch: server %v vs one-shot %v", label, got, want)
+	}
+}
+
+// requireStats checks a session's tracker stats, watermarks included,
+// against a sequential tracker that saw the same events.
+func requireStats(t *testing.T, s *testService, id string, events []cpu.Event) {
+	t.Helper()
+	seq := core.NewTracker(testCfg, nil)
+	for _, ev := range events {
+		seq.Event(ev)
+	}
+	if got := s.stats(t, id).Stats; got != seq.Stats() {
+		t.Fatalf("%s: stats diverge:\nserver %+v\nseq    %+v", id, got, seq.Stats())
 	}
 }
 
@@ -187,6 +228,29 @@ func TestIngestParity(t *testing.T) {
 	if st.Stats.Loads == 0 || st.Stats.SinkChecks == 0 {
 		t.Fatalf("stats counters empty: %+v", st.Stats)
 	}
+	requireStats(t, s, "alpha", events)
+}
+
+// TestMultiPIDParity pins the verdict-order contract on an interleaved
+// 16-PID stream sent as two bodies of more than 65536 events each, one
+// with a declared length and one chunked: GET /verdicts and DELETE return
+// the one-shot replay's verdicts in arrival order, unsorted, and the
+// session's stats, watermarks included, equal the sequential tracker's.
+func TestMultiPIDParity(t *testing.T) {
+	const half = 1<<16 + 500
+	events := tracegen.Generate(tracegen.Spec{Seed: 21, Events: 2 * half, PIDs: 16}).Events
+	want := eval.OneShotVerdicts(events, testCfg)
+	s := newTestService(t, nil)
+	if ir, code := s.post(t, "multi", events, 0, half); code != http.StatusOK || ir.Acked != half {
+		t.Fatalf("declared-length body: status %d %+v", code, ir)
+	}
+	chunked := eval.EncodeTraceFormat(events[half:], trace.FormatV2)
+	if ir, code := s.postReader(t, "multi", bytes.NewReader(chunked), half); code != http.StatusOK || ir.Acked != 2*half {
+		t.Fatalf("chunked body: status %d %+v", code, ir)
+	}
+	requireParity(t, s.verdicts(t, "multi"), want, "multi-pid verdicts")
+	requireStats(t, s, "multi", events)
+	requireParity(t, s.finalize(t, "multi"), want, "multi-pid finalize")
 }
 
 // TestChunkedResume splits one stream across requests with PIFT-Offset,
@@ -388,20 +452,7 @@ func TestFinalize(t *testing.T) {
 	if _, code := s.post(t, "omega", events, 0, len(events)); code != http.StatusOK {
 		t.Fatalf("ingest failed: %d", code)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, s.base("omega"), nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vr server.VerdictsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&vr); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE: status %d err %v", resp.StatusCode, err)
-	}
-	resp.Body.Close()
-	want := eval.OneShotVerdicts(events, testCfg)
-	if len(vr.Verdicts) != len(want) {
-		t.Fatalf("final verdicts: %d, want %d", len(vr.Verdicts), len(want))
-	}
+	requireParity(t, s.finalize(t, "omega"), eval.OneShotVerdicts(events, testCfg), "finalize")
 	resp2, err := http.Get(s.base("omega") + "/verdicts")
 	if err != nil {
 		t.Fatal(err)

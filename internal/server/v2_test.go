@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/eval"
 	"repro/internal/server"
@@ -25,7 +24,7 @@ func (s *testService) postV2(t *testing.T, id string, events []cpu.Event, start,
 }
 
 // postReader sends body as-is with no Content-Length hint, so the
-// request travels chunked and the server cannot size a spool for it.
+// request travels chunked.
 func (s *testService) postReader(t *testing.T, id string, body io.Reader, offset uint64) (server.IngestResponse, int) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, s.base(id)+"/events", struct{ io.Reader }{body})
@@ -45,11 +44,11 @@ func (s *testService) postReader(t *testing.T, id string, body io.Reader, offset
 	return ir, resp.StatusCode
 }
 
-// TestIngestParityV2 is the v2 basic contract on the sequential path:
-// whole-stream and chunked uploads of PIFTTRC2 bodies produce verdicts
-// identical to the v1 upload and to the one-shot inline replay — and the
-// compressed stream crosses the wire in at most a quarter of the bytes,
-// observable through pift_server_ingest_bytes_total.
+// TestIngestParityV2 is the v2 basic contract: whole-stream and chunked
+// uploads of PIFTTRC2 bodies produce verdicts identical to the v1 upload
+// and to the one-shot inline replay — and the compressed stream crosses
+// the wire in at most a quarter of the bytes, observable through
+// pift_server_ingest_bytes_total.
 func TestIngestParityV2(t *testing.T) {
 	h := sharedHarness(t)
 	s := newTestService(t, nil)
@@ -91,6 +90,22 @@ func TestIngestParityV2(t *testing.T) {
 		t.Fatalf("chunk 3: status %d %+v", code, ir)
 	}
 	requireParity(t, s.verdicts(t, "v2-chunk"), want, "v2-chunked")
+
+	// A multi-block, multi-PID body, once with a declared length and once
+	// chunked (no Content-Length): verdicts in arrival order, exact stats.
+	big := tracegen.Generate(tracegen.Spec{Seed: 41, Events: 6*trace.DefaultBlockEvents + 500, PIDs: 8}).Events
+	bigWant := eval.OneShotVerdicts(big, testCfg)
+	full := eval.EncodeTraceFormat(big, trace.FormatV2)
+	if ir, code := s.postRaw(t, "v2-sized", full, 0); code != http.StatusOK || ir.Acked != uint64(len(big)) {
+		t.Fatalf("sized multi-block upload: status %d %+v", code, ir)
+	}
+	if ir, code := s.postReader(t, "v2-unsized", bytes.NewReader(full), 0); code != http.StatusOK || ir.Acked != uint64(len(big)) {
+		t.Fatalf("chunked multi-block upload: status %d %+v", code, ir)
+	}
+	for _, id := range []string{"v2-sized", "v2-unsized"} {
+		requireParity(t, s.verdicts(t, id), bigWant, id)
+		requireStats(t, s, id, big)
+	}
 }
 
 // TestDisconnectResumeV2 cuts a multi-block v2 upload mid-block: the ack
@@ -168,75 +183,4 @@ func TestErrorTaxonomyV2(t *testing.T) {
 
 	check("torn-header", full[:trace.HeaderSize+7], http.StatusBadRequest, "truncated")
 	check("torn-payload", full[:len(full)-9], http.StatusBadRequest, "truncated")
-}
-
-// TestParallelIngestV2 drives PIFTTRC2 through the sharded spool path: a
-// sized v2 body large enough to fan out commits via the parallel drain
-// with verdicts and stats identical to the sequential replay; a torn
-// sized body falls back to sequential replay of the spooled prefix and
-// still acks at the block boundary; a chunked (unsized) v2 body streams
-// through the push path with the same final state.
-func TestParallelIngestV2(t *testing.T) {
-	const n = 6*trace.DefaultBlockEvents + 500
-	events := tracegen.Generate(tracegen.Spec{Seed: 41, Events: n, PIDs: 8}).Events
-	want := eval.OneShotVerdicts(events, testCfg)
-	core.SortVerdicts(want)
-	seq := core.NewTracker(testCfg, nil)
-	for _, ev := range events {
-		seq.Event(ev)
-	}
-	wantStats := seq.Stats()
-	wantStats.MaxBytes, wantStats.MaxRanges = 0, 0
-
-	checkSession := func(t *testing.T, s *testService, id string) {
-		t.Helper()
-		requireParity(t, s.verdicts(t, id), want, id)
-		st := s.stats(t, id)
-		st.Stats.MaxBytes, st.Stats.MaxRanges = 0, 0
-		if st.Stats != wantStats {
-			t.Fatalf("%s: stats diverge:\nserver %+v\nseq    %+v", id, st.Stats, wantStats)
-		}
-	}
-
-	t.Run("spooled", func(t *testing.T) {
-		s := newTestService(t, parallelCfg)
-		if ir, code := s.postV2(t, "v2-par", events, 0, len(events)); code != http.StatusOK || ir.Acked != uint64(n) {
-			t.Fatalf("status %d %+v", code, ir)
-		}
-		if counterOf(s, "pift_server_parallel_ingests_total") == 0 {
-			t.Fatal("sized v2 request never took the parallel path")
-		}
-		checkSession(t, s, "v2-par")
-	})
-
-	t.Run("spooled-torn", func(t *testing.T) {
-		s := newTestService(t, parallelCfg)
-		full := eval.EncodeTraceFormat(events, trace.FormatV2)
-		idx, err := trace.LoadIndex(bytes.NewReader(full))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cut := int(idx.Block(4).Offset) + 13
-		ir, code := s.postRaw(t, "v2-par-torn", full[:cut], 0)
-		if code != http.StatusBadRequest || ir.Error != "truncated" {
-			t.Fatalf("torn: status %d %+v", code, ir)
-		}
-		if ir.Acked != idx.Block(4).First {
-			t.Fatalf("torn: acked %d, want block boundary %d", ir.Acked, idx.Block(4).First)
-		}
-		if ir2, code := s.postV2(t, "v2-par-torn", events, int(ir.Acked), len(events)); code != http.StatusOK || ir2.Acked != uint64(n) {
-			t.Fatalf("resume: status %d %+v", code, ir2)
-		}
-		checkSession(t, s, "v2-par-torn")
-	})
-
-	t.Run("chunked-stream", func(t *testing.T) {
-		s := newTestService(t, parallelCfg)
-		full := eval.EncodeTraceFormat(events, trace.FormatV2)
-		ir, code := s.postReader(t, "v2-par-chunk", bytes.NewReader(full), 0)
-		if code != http.StatusOK || ir.Acked != uint64(n) {
-			t.Fatalf("status %d %+v", code, ir)
-		}
-		checkSession(t, s, "v2-par-chunk")
-	})
 }
