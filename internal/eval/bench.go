@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -61,9 +60,11 @@ type PipelineBenchResult struct {
 	// AllocsPerEvent is the steady-state heap allocation rate of a warm
 	// single-worker pipeline (second replay of the suite workload through
 	// the same pipeline, Mallocs delta over event count). The hot path is
-	// allocation-free by design, so this sits near zero; it is nonzero only
-	// because a GC between the warm-up and the measured pass may empty the
-	// dispatcher's batch sync.Pool, forcing a bounded refill.
+	// allocation-free per event, so this sits near zero: returning a spent
+	// batch to the sync.Pool boxes its slice header (one small allocation
+	// per batch), the first Event after each Sync opens a new phase with
+	// fresh rings, and a GC between the warm-up and the measured pass may
+	// empty the pool, forcing a bounded refill.
 	AllocsPerEvent float64          `json:"allocs_per_event"`
 	Snapshot       metrics.Snapshot `json:"metrics"`
 }
@@ -87,37 +88,9 @@ func PipelineBench(h *Harness, cfg core.Config, workerCounts []int, quantum, rep
 		repeats = 3
 	}
 	reg := metrics.NewRegistry()
-	var rows []PipelineScalingRow
-	for _, n := range workerCounts {
-		best := time.Duration(0)
-		for k := 0; k < repeats; k++ {
-			p := pipeline.New(pipeline.Options{Workers: n, Config: cfg, Metrics: reg})
-			start := time.Now()
-			wl.Replay(p)
-			res := p.Close()
-			elapsed := time.Since(start)
-			if res.Err != nil {
-				return nil, res.Err
-			}
-			if res.Events != uint64(wl.Len()) {
-				return nil, fmt.Errorf("eval: pipeline dropped events: %d of %d", res.Events, wl.Len())
-			}
-			if best == 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		row := PipelineScalingRow{
-			Workers:   n,
-			Events:    wl.Len(),
-			Elapsed:   best,
-			PerSecond: float64(wl.Len()) / best.Seconds(),
-		}
-		if len(rows) > 0 {
-			row.Speedup = row.PerSecond / rows[0].PerSecond
-		} else {
-			row.Speedup = 1
-		}
-		rows = append(rows, row)
+	rows, err := scalingSweep(pipeline.Options{Config: cfg, Metrics: reg}, workerCounts, wl.Len(), repeats, replay(wl), nil)
+	if err != nil {
+		return nil, err
 	}
 	allocs, err := allocsPerEvent(wl, cfg)
 	if err != nil {
@@ -163,68 +136,40 @@ func PipelineBench(h *Harness, cfg core.Config, workerCounts []int, quantum, rep
 	return res, nil
 }
 
-// SyntheticScaling times the shard-owned ingest (Pipeline.DrainTrace)
-// over a seeded tracegen corpus, serialized in format f, at each worker
-// count. Unlike PipelineScaling — which replays an in-memory recorder
-// through the single-dispatcher push path — this sweep starts from
-// serialized bytes, so decode, sharding, and batching all scale with the
-// worker count: it measures the whole ingest, not just the analysis.
-// Every run's verdicts are checked byte-identical to the first, so a
-// scaling number can never be quoted on a wrong answer.
+// SyntheticScaling times Pipeline.DrainTrace over a seeded tracegen
+// corpus, serialized in format f, at each worker count. Unlike
+// PipelineScaling — which replays an in-memory recorder through Event, one
+// producer goroutine — this sweep starts from serialized bytes read by
+// one segment reader per worker, so decode, sharding, and batching all
+// scale with the worker count: it measures the whole ingest, not just the
+// analysis. Every run's verdicts are checked byte-identical to the first,
+// so a scaling number can never be quoted on a wrong answer.
 func SyntheticScaling(cfg core.Config, workerCounts []int, events, repeats int, f trace.Format) ([]PipelineScalingRow, error) {
-	if repeats < 1 {
-		repeats = 3
-	}
 	var wire bytes.Buffer
 	if _, err := tracegen.Generate(tracegen.Spec{Seed: 1, Events: events}).WriteToFormat(&wire, f); err != nil {
 		return nil, err
 	}
 	raw := wire.Bytes()
 	var want string
-	var rows []PipelineScalingRow
-	for _, n := range workerCounts {
-		best := time.Duration(0)
-		for k := 0; k < repeats; k++ {
-			p := pipeline.New(pipeline.Options{Workers: n, Config: cfg})
-			start := time.Now()
-			res, err := p.DrainTrace(context.Background(), bytes.NewReader(raw))
-			elapsed := time.Since(start)
-			if err != nil {
-				return nil, err
-			}
-			if res.Events != uint64(events) {
-				return nil, fmt.Errorf("eval: shard-owned drain accounted %d of %d events", res.Events, events)
-			}
-			key := fmt.Sprintf("%#v", res.Verdicts)
-			if want == "" {
-				want = key
-			} else if key != want {
-				return nil, fmt.Errorf("eval: %d-worker verdicts diverge on the synthetic corpus", n)
-			}
-			if best == 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		row := PipelineScalingRow{
-			Workers:   n,
-			Events:    events,
-			Elapsed:   best,
-			PerSecond: float64(events) / best.Seconds(),
-		}
-		if len(rows) > 0 {
-			row.Speedup = row.PerSecond / rows[0].PerSecond
-		} else {
-			row.Speedup = 1
-		}
-		rows = append(rows, row)
+	drive := func(p *pipeline.Pipeline) (pipeline.Result, error) {
+		return p.DrainTrace(context.Background(), bytes.NewReader(raw))
 	}
-	return rows, nil
+	check := func(n int, res pipeline.Result) error {
+		key := fmt.Sprintf("%#v", res.Verdicts)
+		if want == "" {
+			want = key
+		} else if key != want {
+			return fmt.Errorf("eval: %d-worker verdicts diverge on the synthetic corpus", n)
+		}
+		return nil
+	}
+	return scalingSweep(pipeline.Options{Config: cfg}, workerCounts, events, repeats, drive, check)
 }
 
 // allocsPerEvent measures the steady-state allocation rate of the hot
 // path: one warm-up replay grows every reusable buffer (range-set backing
-// arrays, the dispatcher's pooled batches, worker queues) to its high-water
-// size, then a second replay through the same pipeline is bracketed by
+// arrays, the pooled batches) to its high-water size, then a second
+// replay through the same pipeline is bracketed by
 // MemStats reads. Sync, not Close, bounds each replay so the pipeline —
 // and its warm state — survives into the measured pass.
 func allocsPerEvent(wl *trace.Recorder, cfg core.Config) (float64, error) {

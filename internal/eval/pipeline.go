@@ -112,13 +112,34 @@ type PipelineScalingRow struct {
 }
 
 // PipelineScaling times the pipeline over the multi-process suite
-// workload at each worker count. Repeats takes the best of k runs to damp
-// scheduler noise; k < 1 means 3.
+// workload at each worker count, replaying the in-memory recorder through
+// Event. Repeats takes the best of k runs to damp scheduler noise; k < 1
+// means 3.
 func PipelineScaling(h *Harness, cfg core.Config, workerCounts []int, quantum, repeats int) ([]PipelineScalingRow, error) {
 	wl, err := h.SuiteWorkload(quantum)
 	if err != nil {
 		return nil, err
 	}
+	return scalingSweep(pipeline.Options{Config: cfg}, workerCounts, wl.Len(), repeats, replay(wl), nil)
+}
+
+// replay drives a pipeline by replaying rec through Event.
+func replay(rec *trace.Recorder) func(p *pipeline.Pipeline) (pipeline.Result, error) {
+	return func(p *pipeline.Pipeline) (pipeline.Result, error) {
+		rec.Replay(p)
+		return p.Close(), nil
+	}
+}
+
+// scalingSweep times one run of drive over a fresh pipeline (opts at n
+// workers) per worker count, keeping the best of repeats runs (k < 1
+// means 3), and returns one row per count with its speedup over the first
+// row. The workload is events long. A run that errors, degrades, or
+// accounts a different event count aborts the sweep, so a throughput row
+// is never quoted on a bad run; check, when non-nil, vets each result
+// further outside the timed region.
+func scalingSweep(opts pipeline.Options, workerCounts []int, events, repeats int,
+	drive func(p *pipeline.Pipeline) (pipeline.Result, error), check func(n int, res pipeline.Result) error) ([]PipelineScalingRow, error) {
 	if repeats < 1 {
 		repeats = 3
 	}
@@ -126,13 +147,24 @@ func PipelineScaling(h *Harness, cfg core.Config, workerCounts []int, quantum, r
 	for _, n := range workerCounts {
 		best := time.Duration(0)
 		for k := 0; k < repeats; k++ {
-			p := pipeline.New(pipeline.Options{Workers: n, Config: cfg})
+			opts.Workers = n
+			p := pipeline.New(opts)
 			start := time.Now()
-			wl.Replay(p)
-			res := p.Close()
+			res, err := drive(p)
 			elapsed := time.Since(start)
-			if res.Events != uint64(wl.Len()) {
-				return nil, fmt.Errorf("eval: pipeline dropped events: %d of %d", res.Events, wl.Len())
+			if err == nil {
+				err = res.Err
+			}
+			if err != nil {
+				return nil, err
+			}
+			if res.Events != uint64(events) {
+				return nil, fmt.Errorf("eval: %d-worker pipeline accounted %d of %d events", n, res.Events, events)
+			}
+			if check != nil {
+				if err := check(n, res); err != nil {
+					return nil, err
+				}
 			}
 			if best == 0 || elapsed < best {
 				best = elapsed
@@ -140,14 +172,13 @@ func PipelineScaling(h *Harness, cfg core.Config, workerCounts []int, quantum, r
 		}
 		row := PipelineScalingRow{
 			Workers:   n,
-			Events:    wl.Len(),
+			Events:    events,
 			Elapsed:   best,
-			PerSecond: float64(wl.Len()) / best.Seconds(),
+			PerSecond: float64(events) / best.Seconds(),
+			Speedup:   1,
 		}
 		if len(rows) > 0 {
 			row.Speedup = row.PerSecond / rows[0].PerSecond
-		} else {
-			row.Speedup = 1
 		}
 		rows = append(rows, row)
 	}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/pipeline"
 )
 
 func TestSuiteWorkload(t *testing.T) {
@@ -87,6 +89,29 @@ func TestPipelineScalingAndRender(t *testing.T) {
 	out := RenderPipelineScaling(rows)
 	if !strings.Contains(out, "events/sec") {
 		t.Errorf("render missing header:\n%s", out)
+	}
+}
+
+// TestScalingSweepRejectsDegradedRun: a run whose shard failed still
+// accounts every event, so only its Result.Err tells the sweep not to
+// quote a throughput row on it.
+func TestScalingSweepRejectsDegradedRun(t *testing.T) {
+	h := NewHarness(2)
+	wl, err := h.SuiteWorkload(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := pipeline.Options{
+		Config: core.Config{NI: 13, NT: 3, Untaint: true},
+		Observer: func(worker int, ev cpu.Event) {
+			if ev.PID == 1 {
+				panic("injected fault")
+			}
+		},
+	}
+	rows, err := scalingSweep(opts, []int{1}, wl.Len(), 1, replay(wl), nil)
+	if err == nil || !strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("sweep over a degraded run: rows %+v, err %v; want the shard's fault", rows, err)
 	}
 }
 

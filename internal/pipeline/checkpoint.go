@@ -46,8 +46,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 func (p *Pipeline) WriteCheckpoint(w io.Writer) (int64, error) {
 	p.Sync()
 	for _, wk := range p.workers {
-		// Safe to read after Sync: the WaitGroup edge ordered all worker
-		// writes before this goroutine's reads.
+		// Safe to read after Sync: the phase barrier's Wait edge ordered
+		// all worker writes before this goroutine's reads.
 		if wk.panics > 0 {
 			return 0, fmt.Errorf("pipeline: checkpoint refused: shard %d faulted: %w", wk.idx, wk.firstErr)
 		}
@@ -174,11 +174,7 @@ func Restore(r io.Reader, opts Options) (*Pipeline, error) {
 
 	opts.Workers = int(workers)
 	opts.Config = cfg
-	opts = opts.withDefaults()
-	p := newShell(opts)
-	for i, tr := range trackers {
-		p.start(i, tr)
-	}
+	p := launch(opts.withDefaults(), trackers)
 	p.events = events
 	return p, nil
 }

@@ -19,7 +19,7 @@ func TestRestartWithinBudget(t *testing.T) {
 	want, _ := sequentialOracle(evs, testCfg)
 
 	var seen uint64
-	res, err := pipeline.Run(&sliceSource{evs: evs}, pipeline.Options{
+	res, err := drain(&sliceSource{evs: evs}, pipeline.Options{
 		Workers:     2,
 		BatchSize:   64,
 		Config:      testCfg,
@@ -32,7 +32,7 @@ func TestRestartWithinBudget(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("Run failed despite restart budget: %v", err)
+		t.Fatalf("Drain failed despite restart budget: %v", err)
 	}
 	if res.Degraded {
 		t.Fatal("run marked degraded after an in-budget restart")
@@ -76,7 +76,7 @@ func TestRestartBudgetExhausted(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	all := append(append([]cpu.Event(nil), poison...), evs...)
-	res, err := pipeline.Run(&sliceSource{evs: all}, pipeline.Options{
+	res, err := drain(&sliceSource{evs: all}, pipeline.Options{
 		Workers:     workers,
 		BatchSize:   32,
 		Config:      testCfg,

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -13,31 +14,36 @@ import (
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
+	"repro/internal/trace"
 )
 
-// sliceSource adapts an event slice to pipeline.EventSource.
+// sliceSource adapts an event slice to pipeline.BatchSource.
 type sliceSource struct {
 	evs []cpu.Event
-	i   int
 }
 
-func (s *sliceSource) Next() (cpu.Event, error) {
-	if s.i >= len(s.evs) {
-		return cpu.Event{}, io.EOF
+func (s *sliceSource) NextBatch(dst []cpu.Event) (int, error) {
+	if len(s.evs) == 0 {
+		return 0, io.EOF
 	}
-	ev := s.evs[s.i]
-	s.i++
-	return ev, nil
+	n := copy(dst, s.evs)
+	s.evs = s.evs[n:]
+	return n, nil
+}
+
+// drain runs src through a fresh pipeline.
+func drain(src pipeline.BatchSource, opts pipeline.Options) (pipeline.Result, error) {
+	return pipeline.New(opts).Drain(context.Background(), src)
 }
 
 // TestWorkerPanicReported drives far more events than the worker queues
 // can hold through a pipeline whose observer panics early. The panic must
 // not hang the dispatcher (the poisoned worker keeps draining) and must
-// surface as an error from Run and in Result.Err, not as a process crash.
+// surface as an error from Drain and in Result.Err, not as a process crash.
 func TestWorkerPanicReported(t *testing.T) {
 	evs := syntheticStream(100_000, 1, 11) // one PID: every event hits the poisoned worker
 	var n atomic.Uint64
-	res, err := pipeline.Run(&sliceSource{evs: evs}, pipeline.Options{
+	res, err := drain(&sliceSource{evs: evs}, pipeline.Options{
 		Workers:    2,
 		BatchSize:  64,
 		QueueDepth: 2,
@@ -49,7 +55,7 @@ func TestWorkerPanicReported(t *testing.T) {
 		},
 	})
 	if err == nil {
-		t.Fatal("Run returned nil error after a worker panic")
+		t.Fatal("Drain returned nil error after a worker panic")
 	}
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "injected failure") ||
 		!strings.Contains(res.Err.Error(), "panicked") {
@@ -75,7 +81,7 @@ func TestWorkerPanicKeepsHealthyShards(t *testing.T) {
 	seq, wantVerdicts := sequentialOracle(evs, testCfg)
 
 	all := append([]cpu.Event{poison}, evs...)
-	res, err := pipeline.Run(&sliceSource{evs: all}, pipeline.Options{
+	res, err := drain(&sliceSource{evs: all}, pipeline.Options{
 		Workers: workers,
 		Config:  testCfg,
 		Observer: func(worker int, ev cpu.Event) {
@@ -97,23 +103,26 @@ func TestWorkerPanicKeepsHealthyShards(t *testing.T) {
 }
 
 // endlessSource produces events forever; only cancellation can stop a
-// Run over it.
+// Drain over it.
 type endlessSource struct {
 	seq    uint64
 	cancel func()
 	after  uint64
 }
 
-func (s *endlessSource) Next() (cpu.Event, error) {
-	s.seq++
-	if s.cancel != nil && s.seq == s.after {
-		s.cancel()
+func (s *endlessSource) NextBatch(dst []cpu.Event) (int, error) {
+	for i := range dst {
+		s.seq++
+		if s.cancel != nil && s.seq == s.after {
+			s.cancel()
+		}
+		dst[i] = cpu.Event{Kind: cpu.EvLoad, PID: 1, Seq: s.seq,
+			Range: mem.MakeRange(mem.Addr(s.seq%4096), 4)}
 	}
-	return cpu.Event{Kind: cpu.EvLoad, PID: 1, Seq: s.seq,
-		Range: mem.MakeRange(mem.Addr(s.seq%4096), 4)}, nil
+	return len(dst), nil
 }
 
-// TestRunContextCancellation: RunContext must return promptly with the
+// TestRunContextCancellation: Drain must return promptly with the
 // context's error once it is canceled, releasing all worker goroutines,
 // even though the source never ends.
 func TestRunContextCancellation(t *testing.T) {
@@ -121,16 +130,16 @@ func TestRunContextCancellation(t *testing.T) {
 	src := &endlessSource{cancel: cancel, after: 50_000}
 	done := make(chan error, 1)
 	go func() {
-		_, err := pipeline.RunContext(ctx, src, pipeline.Options{Workers: 2, Config: testCfg})
+		_, err := pipeline.New(pipeline.Options{Workers: 2, Config: testCfg}).Drain(ctx, src)
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunContext error = %v, want context.Canceled", err)
+			t.Fatalf("Drain error = %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunContext did not honor cancellation")
+		t.Fatal("Drain did not honor cancellation")
 	}
 }
 
@@ -140,7 +149,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	src := &endlessSource{}
-	_, err := pipeline.RunContext(ctx, src, pipeline.Options{Workers: 1, Config: testCfg})
+	_, err := pipeline.New(pipeline.Options{Workers: 1, Config: testCfg}).Drain(ctx, src)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -149,91 +158,137 @@ func TestRunContextPreCanceled(t *testing.T) {
 	}
 }
 
-// TestMetricsConsistentUnderLoad samples the queue-depth gauge from a
-// separate goroutine while the pipeline runs under real backpressure
-// (slow observer, tiny queues) and checks the invariants: depth never
-// negative, never above capacity+workers (one batch may be in flight per
-// worker), zero once drained, and the dispatch counters mutually
-// consistent. Run under -race this also proves the gauges are safe to
-// scrape concurrently.
+// TestMetricsConsistentUnderLoad runs the same stream through every entry
+// point — Event, Drain and DrainTrace — under real backpressure (slow
+// observer, tiny queues) and checks the dispatch metrics' invariants on
+// each: the queue-depth gauge, sampled both from a free-running goroutine
+// and from inside the workers, never goes negative, peaks above zero,
+// stays within the rings' capacity, and is back to zero once drained; the
+// high-water mark covers the sampled peak; and the batch counters and
+// histograms agree with each other and with the event count. Run under
+// -race this also proves the gauges are safe to scrape concurrently.
 func TestMetricsConsistentUnderLoad(t *testing.T) {
 	const workers, queueDepth, batch = 4, 2, 32
-	reg := metrics.NewRegistry()
-	pm := pipeline.NewPipelineMetrics(reg)
 	evs := syntheticStream(60_000, 8, 13)
-
-	stop := make(chan struct{})
-	sampled := make(chan int64, 1)
-	go func() {
-		var peak int64
-		for {
-			select {
-			case <-stop:
-				sampled <- peak
-				return
-			default:
-			}
-			d := pm.QueueDepth.Value()
-			if d < 0 {
-				t.Errorf("queue depth went negative: %d", d)
-				sampled <- peak
-				return
-			}
-			if d > peak {
-				peak = d
-			}
-		}
-	}()
-
-	res, err := pipeline.Run(&sliceSource{evs: evs}, pipeline.Options{
-		Workers:    workers,
-		BatchSize:  batch,
-		QueueDepth: queueDepth,
-		Config:     testCfg,
-		Metrics:    reg,
-		Observer: func(worker int, ev cpu.Event) {
-			if ev.Seq%1024 == 0 {
-				time.Sleep(50 * time.Microsecond) // force real backpressure
-			}
-		},
-	})
-	close(stop)
-	peak := <-sampled
-	if err != nil {
+	var wire bytes.Buffer
+	if _, err := (&trace.Recorder{Events: evs}).WriteTo(&wire); err != nil {
 		t.Fatal(err)
 	}
+	entries := []struct {
+		name string
+		// producers bounds how many dispatchers feed the workers at once.
+		producers int
+		run       func(p *pipeline.Pipeline) (pipeline.Result, error)
+	}{
+		{"Event", 1, func(p *pipeline.Pipeline) (pipeline.Result, error) {
+			for _, ev := range evs {
+				p.Event(ev)
+			}
+			res := p.Close()
+			return res, res.Err
+		}},
+		{"Drain", 1, func(p *pipeline.Pipeline) (pipeline.Result, error) {
+			return p.Drain(context.Background(), &sliceSource{evs: evs})
+		}},
+		{"DrainTrace", workers, func(p *pipeline.Pipeline) (pipeline.Result, error) {
+			return p.DrainTrace(context.Background(), bytes.NewReader(wire.Bytes()))
+		}},
+	}
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			pm := pipeline.NewPipelineMetrics(reg)
+			var negative atomic.Bool
+			var workerPeak atomic.Int64
+			sample := func() int64 {
+				d := pm.QueueDepth.Value()
+				if d < 0 {
+					negative.Store(true)
+				}
+				return d
+			}
 
-	// Every batch dispatched was fully analyzed: depth is back to zero.
-	if d := pm.QueueDepth.Value(); d != 0 {
-		t.Fatalf("queue depth after drain = %d, want 0", d)
-	}
-	// A worker holds at most one batch beyond its queue, and the
-	// dispatcher's increment-before-send can overshoot by the one batch
-	// it is still handing off.
-	if maxDepth := int64(workers*(queueDepth+1) + 1); peak > maxDepth {
-		t.Fatalf("sampled queue depth %d exceeds bound %d", peak, maxDepth)
-	}
-	if got := pm.EventsDispatched.Value(); got != uint64(len(evs)) {
-		t.Fatalf("events dispatched = %d, want %d", got, len(evs))
-	}
-	if pm.BatchesDispatched.Value() == 0 {
-		t.Fatal("no batches recorded")
-	}
-	if got := pm.BatchEvents.Count(); got != pm.BatchesDispatched.Value() {
-		t.Fatalf("batch histogram count %d != batches dispatched %d",
-			got, pm.BatchesDispatched.Value())
-	}
-	if got := uint64(pm.BatchEvents.Sum()); got != uint64(len(evs)) {
-		t.Fatalf("batch histogram sum %d != events %d", got, len(evs))
-	}
-	if got, want := pm.BatchSeconds.Count(), pm.BatchesDispatched.Value(); got != want {
-		t.Fatalf("batch latency observations %d != batches %d", got, want)
-	}
-	if pm.QueueDepthHigh.Value() < peak {
-		t.Fatalf("high-water %d below sampled peak %d", pm.QueueDepthHigh.Value(), peak)
-	}
-	if res.Stats.Loads+res.Stats.Stores == 0 {
-		t.Fatal("tracker metrics never saw the stream")
+			stop := make(chan struct{})
+			sampled := make(chan int64, 1)
+			go func() {
+				var peak int64
+				for {
+					select {
+					case <-stop:
+						sampled <- peak
+						return
+					default:
+					}
+					peak = max(peak, sample())
+				}
+			}()
+
+			p := pipeline.New(pipeline.Options{
+				Workers:    workers,
+				BatchSize:  batch,
+				QueueDepth: queueDepth,
+				Config:     testCfg,
+				Metrics:    reg,
+				Observer: func(worker int, ev cpu.Event) {
+					// The batch under analysis is still counted, so the
+					// gauge reads at least 1 from here.
+					if d := sample(); d > workerPeak.Load() {
+						workerPeak.Store(d) // racy max is fine: any sample > 0 will do
+					}
+					if ev.Seq%1024 == 0 {
+						time.Sleep(50 * time.Microsecond) // force real backpressure
+					}
+				},
+			})
+			res, err := e.run(p)
+			close(stop)
+			peak := max(<-sampled, workerPeak.Load())
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if negative.Load() {
+				t.Fatal("queue depth went negative")
+			}
+			if peak <= 0 {
+				t.Fatalf("sampled queue depth peak %d, want > 0", peak)
+			}
+			// Every batch dispatched was fully analyzed: depth is back to zero.
+			if d := pm.QueueDepth.Value(); d != 0 {
+				t.Fatalf("queue depth after drain = %d, want 0", d)
+			}
+			// Each producer fills at most queueDepth slots per worker ring
+			// and may be blocked handing off one more batch; each worker
+			// holds one batch under analysis.
+			if maxDepth := int64(e.producers*(workers*queueDepth+1) + workers); peak > maxDepth {
+				t.Fatalf("sampled queue depth %d exceeds bound %d", peak, maxDepth)
+			}
+			if pm.QueueDepthHigh.Value() < peak {
+				t.Fatalf("high-water %d below sampled peak %d", pm.QueueDepthHigh.Value(), peak)
+			}
+			if got := pm.EventsDispatched.Value(); got != uint64(len(evs)) {
+				t.Fatalf("events dispatched = %d, want %d", got, len(evs))
+			}
+			if pm.BatchesDispatched.Value() == 0 {
+				t.Fatal("no batches recorded")
+			}
+			if got := pm.BatchEvents.Count(); got != pm.BatchesDispatched.Value() {
+				t.Fatalf("batch histogram count %d != batches dispatched %d",
+					got, pm.BatchesDispatched.Value())
+			}
+			if got := uint64(pm.BatchEvents.Sum()); got != uint64(len(evs)) {
+				t.Fatalf("batch histogram sum %d != events %d", got, len(evs))
+			}
+			if got, want := pm.BatchSeconds.Count(), pm.BatchesDispatched.Value(); got != want {
+				t.Fatalf("batch latency observations %d != batches %d", got, want)
+			}
+			if pm.Stalls.Value() == 0 {
+				t.Fatal("no backpressure stall recorded under a slow observer")
+			}
+			if res.Stats.Loads+res.Stats.Stores == 0 {
+				t.Fatal("tracker metrics never saw the stream")
+			}
+		})
 	}
 }
 

@@ -2,20 +2,22 @@ package pipeline
 
 import "repro/internal/metrics"
 
-// PipelineMetrics wires the dispatcher/worker machinery into live
+// PipelineMetrics wires the producer/worker machinery into live
 // gauges and histograms. The zero value disables instrumentation; all
 // mutations are nil-receiver-safe.
 type PipelineMetrics struct {
-	// EventsDispatched and BatchesDispatched count the producer side.
+	// EventsDispatched and BatchesDispatched count the producer side, at
+	// each batch hand-off.
 	EventsDispatched  *metrics.Counter
 	BatchesDispatched *metrics.Counter
-	// QueueDepth is the number of batches currently sitting in worker
-	// channels: incremented at dispatch, decremented after a worker
-	// finishes a batch. QueueDepthHigh is its high-water mark.
+	// QueueDepth is the number of batches handed off but not yet
+	// analyzed, across every producer's rings: incremented at hand-off,
+	// decremented after a worker finishes the batch. QueueDepthHigh is its
+	// high-water mark.
 	QueueDepth     *metrics.Gauge
 	QueueDepthHigh *metrics.Gauge
-	// Stalls counts dispatcher sends that found the worker queue full —
-	// each one is a backpressure block on the producer.
+	// Stalls counts hand-offs that found the worker's ring full — each
+	// one is a backpressure block on the producer.
 	Stalls *metrics.Counter
 	// BatchSeconds is the per-batch analysis latency on the worker
 	// (receive-to-done), and BatchEvents the batch-size distribution.
@@ -47,15 +49,15 @@ type PipelineMetrics struct {
 func NewPipelineMetrics(r *metrics.Registry) PipelineMetrics {
 	return PipelineMetrics{
 		EventsDispatched: r.Counter("pift_pipeline_events_total",
-			"Events routed to workers by the dispatcher."),
+			"Events handed to workers by producers."),
 		BatchesDispatched: r.Counter("pift_pipeline_batches_total",
-			"Batches handed to worker queues."),
+			"Batches handed to worker rings."),
 		QueueDepth: r.Gauge("pift_pipeline_queue_depth",
-			"Batches currently enqueued across all worker channels."),
+			"Batches handed to workers and not yet analyzed."),
 		QueueDepthHigh: r.Gauge("pift_pipeline_queue_depth_highwater",
 			"High-water mark of enqueued batches."),
 		Stalls: r.Counter("pift_pipeline_backpressure_stalls_total",
-			"Dispatcher sends that blocked on a full worker queue."),
+			"Batch hand-offs that blocked on a full worker ring."),
 		BatchSeconds: r.Histogram("pift_pipeline_batch_seconds",
 			"Per-batch worker analysis latency in seconds.",
 			metrics.LatencyBuckets),

@@ -8,10 +8,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// Default tuning parameters. The batch size amortizes channel send/receive
-// overhead across many events (one synchronization per ~256 events keeps
-// dispatch cost well under the tracker's per-event work); the queue depth
-// bounds how far a worker may fall behind before the dispatcher blocks.
+// Default tuning parameters. The batch size amortizes the ring hand-off
+// across many events (one synchronization per ~256 events keeps dispatch
+// cost well under the tracker's per-event work); the queue depth bounds
+// how far a worker may fall behind before its producer blocks.
 const (
 	DefaultBatchSize  = 256
 	DefaultQueueDepth = 8
@@ -22,12 +22,12 @@ type Options struct {
 	// Workers is the number of analysis goroutines; events are sharded
 	// onto them by PID. Defaults to GOMAXPROCS.
 	Workers int
-	// BatchSize is how many events the dispatcher accumulates per shard
+	// BatchSize is how many events a producer accumulates per shard
 	// before handing the batch to the worker. Defaults to
 	// DefaultBatchSize.
 	BatchSize int
-	// QueueDepth is the per-worker channel capacity, in batches. Once a
-	// worker's queue is full the dispatcher blocks — explicit
+	// QueueDepth is the capacity, in batches, of each producer→worker
+	// ring. Once a worker's ring is full its producer blocks — explicit
 	// backpressure, never drops. Defaults to DefaultQueueDepth.
 	QueueDepth int
 	// Config holds the tainting-window parameters every worker's tracker
@@ -55,7 +55,7 @@ type Options struct {
 	// Result comes back Degraded instead of the run hanging or losing
 	// everything. 0 — the default — fails a shard on its first panic.
 	MaxRestarts int
-	// CheckpointEvery asks Drain/RunContext to quiesce the pipeline and
+	// CheckpointEvery asks Drain/DrainTrace to quiesce the pipeline and
 	// invoke OnCheckpoint every that many dispatched events (counted from
 	// stream start, so a resumed run keeps the original cadence). 0
 	// disables periodic checkpoints.

@@ -179,7 +179,7 @@ func TestRunStreamsFromReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeline.Run(sr, pipeline.Options{Workers: 4, Config: testCfg})
+	res, err := drain(sr, pipeline.Options{Workers: 4, Config: testCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestRunPropagatesSourceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipeline.Run(sr, pipeline.Options{Workers: 2, Config: testCfg}); err == nil {
+	if _, err := drain(sr, pipeline.Options{Workers: 2, Config: testCfg}); err == nil {
 		t.Fatal("truncated stream analyzed without error")
 	}
 }

@@ -8,130 +8,62 @@ import (
 	"repro/internal/cpu"
 )
 
-// EventSource is a pull-based event stream terminated by io.EOF.
-// trace.Reader implements it, so a serialized trace can feed the pipeline
-// without being materialized; any other streaming producer (a socket, a
-// generator) fits the same shape.
-type EventSource interface {
-	Next() (cpu.Event, error)
-}
-
-// BatchSource is an EventSource that can also deliver events in bulk.
-// Drain detects it and pulls whole batches into a reused buffer — one
-// decode loop and zero per-event interface calls — instead of one Next
-// call per event. The contract mirrors trace.Reader.NextBatch: up to
-// len(dst) events are decoded into dst; a clean end returns (0, io.EOF)
-// with no events; a failing record returns every event before it together
-// with the error a per-event Next loop would have produced, so the two
-// drain paths are observationally identical.
+// BatchSource is a pull-based event stream delivered in bulk and
+// terminated by io.EOF. trace.Reader implements it, so a serialized trace
+// can feed the pipeline without being materialized; any other streaming
+// producer (a socket, a generator) fits the same shape. The contract
+// mirrors trace.Reader.NextBatch: up to len(dst) events are decoded into
+// dst; a clean end returns (0, io.EOF) with no events; a failing record
+// returns every event before it together with the error.
 type BatchSource interface {
-	EventSource
 	NextBatch(dst []cpu.Event) (int, error)
-}
-
-// Run drains src through a fresh pipeline and returns the merged result.
-// On a source error the pipeline is still shut down cleanly (no leaked
-// goroutines) and the error is returned; a worker failure surfaces the
-// same way (and in Result.Err).
-func Run(src EventSource, opts Options) (Result, error) {
-	return RunContext(context.Background(), src, opts)
-}
-
-// RunContext is Run under a context: cancellation is checked between
-// events (between batches for a BatchSource), so an unbounded source
-// cannot pin the dispatcher once the caller gives up. A batch send already in flight still completes —
-// backpressure blocks are bounded by the workers' queue drain, which the
-// deferred Close performs regardless — and the pipeline's goroutines are
-// always released.
-func RunContext(ctx context.Context, src EventSource, opts Options) (Result, error) {
-	return New(opts).Drain(ctx, src)
 }
 
 // Drain feeds src into the pipeline until io.EOF, honoring the
 // checkpoint policy (Options.CheckpointEvery/OnCheckpoint), then closes
-// and returns the merged result. It is RunContext's engine, exposed so a
-// pipeline restored from a checkpoint can consume the remainder of a
-// stream: Restore, Skip the source to Offset(), Drain. Checkpoint
-// boundaries are absolute event offsets (multiples of CheckpointEvery
-// from stream start), so a resumed run keeps the original cadence. On a
-// source or checkpoint error the pipeline is shut down cleanly and the
-// error returned; the partial Result is discarded.
-func (p *Pipeline) Drain(ctx context.Context, src EventSource) (Result, error) {
-	if bs, ok := src.(BatchSource); ok {
-		return p.drainBatched(ctx, bs)
-	}
-	done := ctx.Done()
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				p.Close()
-				return Result{}, ctx.Err()
-			default:
-			}
-		}
-		ev, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			p.Close()
-			return Result{}, err
-		}
-		p.Event(ev)
-		if err := p.maybeCheckpoint(); err != nil {
-			p.Close()
-			return Result{}, err
-		}
-	}
-	res := p.Close()
-	return res, res.Err
-}
-
-// drainBatched is Drain's bulk path: events arrive len(buf) at a time
-// through one reused buffer, and cancellation is checked once per batch
-// instead of once per event. Checkpoint boundaries stay exact — a batch is
-// capped at the distance to the next CheckpointEvery multiple, so a
-// boundary can only ever fall on a batch edge and the checkpoint fires at
-// precisely the same absolute offsets as the per-event path.
-func (p *Pipeline) drainBatched(ctx context.Context, src BatchSource) (Result, error) {
-	done := ctx.Done()
+// and returns the merged result. Events arrive BatchSize at a time
+// through one reused buffer, and cancellation is checked once per batch.
+// A pipeline restored from a checkpoint consumes the remainder of a
+// stream the same way: Restore, Skip the source to Offset(), Drain.
+// Checkpoint boundaries are absolute event offsets (multiples of
+// CheckpointEvery from stream start), so a resumed run keeps the original
+// cadence; a batch is capped at the distance to the next boundary, so a
+// checkpoint always falls on a batch edge. On a source, checkpoint, or
+// cancellation error the pipeline is shut down cleanly and the error
+// returned; the partial Result is discarded. A worker failure surfaces as
+// the error too (and in Result.Err).
+func (p *Pipeline) Drain(ctx context.Context, src BatchSource) (Result, error) {
 	buf := make([]cpu.Event, p.opts.BatchSize)
 	for {
-		if done != nil {
-			select {
-			case <-done:
-				p.Close()
-				return Result{}, ctx.Err()
-			default:
-			}
+		if err := ctx.Err(); err != nil {
+			return p.fail(err)
 		}
-		limit := len(buf)
-		if p.opts.CheckpointEvery > 0 {
-			if togo := p.opts.CheckpointEvery - p.events%p.opts.CheckpointEvery; uint64(limit) > togo {
-				limit = int(togo)
-			}
-		}
+		limit := p.spanEnd(p.events+uint64(len(buf))) - p.events
 		n, err := src.NextBatch(buf[:limit])
-		for _, ev := range buf[:n] {
-			p.Event(ev)
-		}
+		p.push(buf[:n])
 		if n > 0 {
 			if cerr := p.maybeCheckpoint(); cerr != nil {
-				p.Close()
-				return Result{}, cerr
+				return p.fail(cerr)
 			}
 		}
 		if err == io.EOF {
-			break
+			return p.finish()
 		}
 		if err != nil {
-			p.Close()
-			return Result{}, err
+			return p.fail(err)
 		}
 	}
-	res := p.Close()
-	return res, res.Err
+}
+
+// spanEnd caps the stream offset end at the next CheckpointEvery boundary
+// past the current offset.
+func (p *Pipeline) spanEnd(end uint64) uint64 {
+	if every := p.opts.CheckpointEvery; every > 0 {
+		if next := p.events + every - p.events%every; next < end {
+			return next
+		}
+	}
+	return end
 }
 
 // maybeCheckpoint runs the checkpoint hook when the dispatch count sits on
@@ -143,4 +75,17 @@ func (p *Pipeline) maybeCheckpoint() error {
 		}
 	}
 	return nil
+}
+
+// finish closes the pipeline at the end of a drained stream.
+func (p *Pipeline) finish() (Result, error) {
+	res := p.Close()
+	return res, res.Err
+}
+
+// fail shuts the pipeline down after a drain error, discarding the
+// partial Result.
+func (p *Pipeline) fail(err error) (Result, error) {
+	p.Close()
+	return Result{}, err
 }

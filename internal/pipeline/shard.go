@@ -7,128 +7,86 @@ import (
 	"sync"
 
 	"repro/internal/cpu"
-	"repro/internal/ring"
 	"repro/internal/trace"
 )
 
-// Shard-owned ingest — the scaling path. Drain/drainBatched funnel every
-// event through one dispatcher goroutine, which decodes, shards, and
-// batches alone while N workers wait on it; past a few workers the
-// dispatcher IS the pipeline. DrainTrace removes it: a segment planner
-// pre-splits the trace by pure arithmetic — over the fixed record stride
-// for PIFTTRC1, over the block index for PIFTTRC2 (trace.LoadIndex) —
-// and each of N readers then owns its segment from bytes to batches —
-// its own trace.Reader, its own decode buffer, its own shard
-// partitioning — handing batches to workers over
-// single-producer/single-consumer rings (one per reader×worker pair, so
-// every ring really is SPSC).
+// DrainTrace is the ingest for serialized traces that can be read at any
+// offset. A segment planner pre-splits the trace by pure arithmetic —
+// over the fixed record stride for PIFTTRC1, over the block index for
+// PIFTTRC2 (trace.LoadIndex) — and each of up to N segment readers owns
+// its segment from bytes to batches: its own trace.Reader, decode buffer
+// and dispatcher. Decode and sharding then scale with the worker count
+// instead of running on one producer goroutine.
 //
-// Correctness is an ordering argument. Tracker state is per-PID, so the
-// merged Result is byte-identical to the sequential tracker's as long as
-// each shard sees its PIDs' events in trace order (see the package
-// comment). Segments are contiguous and planned in trace order, and each
-// worker drains its per-reader rings strictly in reader order — ring r
-// exhausted before ring r+1 — so a shard's event sequence is the
-// concatenation of its per-segment subsequences in segment order: exactly
-// the trace-order subsequence the dispatcher path delivers.
+// Correctness is the phase ordering argument (see open): segments are
+// contiguous and planned in trace order, and each phase lists the
+// readers in that order, so a shard's event sequence is the
+// concatenation of its per-segment subsequences in segment order —
+// exactly the trace-order subsequence Event or Drain would deliver.
 //
 // Checkpoint offsets keep their contract by phasing: the trace is drained
 // in phases bounded at CheckpointEvery multiples, with a full barrier
 // (readers done, workers drained) between phases. Checkpoints therefore
 // fire at precisely the same absolute offsets as Drain, against quiescent
-// trackers, and a checkpoint written here restores onto either path.
+// trackers, and a checkpoint written here restores onto either entry
+// point.
 
 // DrainTrace consumes the serialized trace in ra — either wire format,
-// sniffed from the header — through shard-owned readers and returns the
+// sniffed from the header — through segment readers and returns the
 // merged result, honoring the same checkpoint policy as Drain. For a
-// block-compressed PIFTTRC2 trace the planner works over the block index
-// (trace.LoadIndex) instead of the fixed record stride; segment
-// boundaries snap to blocks but phase and checkpoint offsets stay in
-// event counts, so checkpoints fire at identical offsets on both
-// formats. A pipeline restored from a checkpoint resumes by calling
-// DrainTrace on the same bytes: the planner starts at Offset(), no Skip
-// needed. On a decode, checkpoint, or cancellation error the pipeline is
-// shut down cleanly and the error returned; the partial Result is
-// discarded.
+// block-compressed PIFTTRC2 trace segment boundaries snap to blocks but
+// phase and checkpoint offsets stay in event counts, so checkpoints fire
+// at identical offsets on both formats. A pipeline restored from a
+// checkpoint resumes by calling DrainTrace on the same bytes: the planner
+// starts at Offset(), no Skip needed. On a decode, checkpoint, or
+// cancellation error the pipeline is shut down cleanly and the error
+// returned; the partial Result is discarded.
 func (p *Pipeline) DrainTrace(ctx context.Context, ra io.ReaderAt) (Result, error) {
+	p.Sync() // events pushed before this call precede the trace
 	idx, err := trace.LoadIndex(ra)
 	if err != nil {
-		p.Close()
-		return Result{}, err
+		return p.fail(err)
 	}
 	total := idx.Count()
 	if p.events > total {
-		p.Close()
-		return Result{}, fmt.Errorf("pipeline: resume offset %d beyond trace length %d", p.events, total)
+		return p.fail(fmt.Errorf("pipeline: resume offset %d beyond trace length %d", p.events, total))
 	}
-	done := ctx.Done()
 	for p.events < total {
-		if done != nil {
-			select {
-			case <-done:
-				p.Close()
-				return Result{}, ctx.Err()
-			default:
-			}
+		if err := ctx.Err(); err != nil {
+			return p.fail(err)
 		}
-		end := total
-		if p.opts.CheckpointEvery > 0 {
-			if next := p.events + p.opts.CheckpointEvery - p.events%p.opts.CheckpointEvery; next < end {
-				end = next
-			}
-		}
-		if err := p.runPhase(ctx, idx, ra, p.events, end); err != nil {
-			p.Close()
-			return Result{}, err
+		end := p.spanEnd(total)
+		if err := p.drainSpan(ctx, idx, ra, p.events, end); err != nil {
+			return p.fail(err)
 		}
 		p.events = end
 		if err := p.maybeCheckpoint(); err != nil {
-			p.Close()
-			return Result{}, err
+			return p.fail(err)
 		}
 	}
-	res := p.Close()
-	return res, res.Err
+	return p.finish()
 }
 
-// runPhase drains the event range [first, end) of ra: one segment per
-// reader, one ring per reader×worker pair, and a phase barrier at the
-// end. On return every event of the range has been analyzed (or the
-// error says why not) and the workers are quiescent — the phase
-// WaitGroup's Wait edge publishes their tracker state to this goroutine,
-// which is what entitles the caller to checkpoint next.
-func (p *Pipeline) runPhase(ctx context.Context, idx *trace.Index, ra io.ReaderAt, first, end uint64) error {
-	nw := len(p.workers)
-	segs := idx.PlanRange(first, end-first, nw, p.opts.BatchSize)
-	rings := make([][]*ring.Ring[[]cpu.Event], len(segs)) // [reader][worker]
-	for r := range rings {
-		rings[r] = make([]*ring.Ring[[]cpu.Event], nw)
-		for w := range rings[r] {
-			rings[r][w] = ring.New[[]cpu.Event](p.opts.QueueDepth)
-		}
-	}
-	var phase sync.WaitGroup
-	phase.Add(nw)
-	for w, wk := range p.workers {
-		col := make([]*ring.Ring[[]cpu.Event], len(segs))
-		for r := range col {
-			col[r] = rings[r][w]
-		}
-		if !wk.q.Push(job{phase: &phaseJob{rings: col, wg: &phase}}) {
-			panic("pipeline: phase pushed on closed worker queue")
-		}
-	}
+// drainSpan drains the event range [first, end) of ra as one phase: one
+// segment per reader, each reader feeding its own dispatcher. On return
+// every event of the range has been analyzed (or the error says why not)
+// and the workers are quiescent — the phase barrier's Wait edge publishes
+// their tracker state to this goroutine, which is what entitles the
+// caller to checkpoint next.
+func (p *Pipeline) drainSpan(ctx context.Context, idx *trace.Index, ra io.ReaderAt, first, end uint64) error {
+	segs := idx.PlanRange(first, end-first, len(p.workers), p.opts.BatchSize)
+	ds, done := p.open(len(segs))
 	errs := make([]error, len(segs))
 	var readers sync.WaitGroup
 	readers.Add(len(segs))
 	for r, seg := range segs {
 		go func(r int, seg trace.Segment) {
 			defer readers.Done()
-			errs[r] = p.readSegment(ctx, idx, ra, seg, rings[r])
+			errs[r] = p.readSegment(ctx, idx.SegmentReader(ra, seg), ds[r])
 		}(r, seg)
 	}
 	readers.Wait()
-	phase.Wait()
+	done.Wait()
 	for _, err := range errs { // first failure in trace order
 		if err != nil {
 			return err
@@ -138,69 +96,27 @@ func (p *Pipeline) runPhase(ctx context.Context, idx *trace.Index, ra io.ReaderA
 }
 
 // readSegment is one reader's whole job: decode the segment batch by
-// batch, partition events by shard, and push full batches onto the
-// owning workers' rings, blocking when a ring is full — the same bounded
-// backpressure as the dispatcher path, now per reader×worker. All output
-// rings are closed on the way out, success or not: a closed ring is the
-// segment-end marker the draining worker keys on, and closing even on
-// error is what keeps a failed phase from wedging its workers.
-func (p *Pipeline) readSegment(ctx context.Context, idx *trace.Index, ra io.ReaderAt, seg trace.Segment, out []*ring.Ring[[]cpu.Event]) (err error) {
-	defer func() {
-		for _, q := range out {
-			q.Close()
-		}
-	}()
-	r := idx.SegmentReader(ra, seg)
+// batch into its dispatcher — the same bounded backpressure as Event, per
+// reader×worker ring. The dispatcher is closed on the way out, success or
+// not, which is what keeps a failed phase from wedging its workers.
+func (p *Pipeline) readSegment(ctx context.Context, src *trace.Reader, d *dispatcher) error {
+	defer d.close()
 	buf := make([]cpu.Event, p.opts.BatchSize)
-	pending := make([][]cpu.Event, len(out))
-	for w := range pending {
-		pending[w] = p.batch()
-	}
-	flush := func(w int) {
-		b := pending[w]
-		if len(b) == 0 {
-			return
-		}
-		p.m.BatchesDispatched.Inc()
-		p.m.BatchEvents.Observe(float64(len(b)))
-		if !out[w].TryPush(b) {
-			p.m.Stalls.Inc()
-			out[w].Push(b) // worker never closes its input ring
-		}
-		pending[w] = p.batch()
-	}
-	done := ctx.Done()
 	for {
-		if done != nil {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n, err := src.NextBatch(buf)
+		for i := range buf[:n] {
+			if w, full := d.add(&buf[i]); full {
+				d.flush(w)
 			}
 		}
-		n, rerr := r.NextBatch(buf)
-		for _, ev := range buf[:n] {
-			w := 0
-			if len(out) > 1 {
-				w = shard(ev.PID, len(out))
-			}
-			pending[w] = append(pending[w], ev)
-			if len(pending[w]) >= p.opts.BatchSize {
-				flush(w)
-			}
+		if err == io.EOF {
+			return nil
 		}
-		p.m.EventsDispatched.Add(uint64(n))
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return rerr
+		if err != nil {
+			return err
 		}
 	}
-	for w := range out {
-		flush(w)
-		b := pending[w][:0]
-		p.pool.Put(&b)
-	}
-	return nil
 }

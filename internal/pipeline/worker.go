@@ -10,38 +10,24 @@ import (
 	"repro/internal/ring"
 )
 
-// job is one unit of work on a worker's input ring: either a single
-// pre-sharded batch (push mode, the dispatcher's hand-off) or a phase of
-// the shard-owned drain (phase non-nil), in which the worker pulls its
-// batches straight off the segment readers' SPSC rings.
-type job struct {
-	batch []cpu.Event
-	phase *phaseJob
-}
-
-// phaseJob hands a worker its view of one shard-owned phase: the data
-// rings carrying this worker's events, one per segment reader, to be
-// drained in reader (= trace) order. Draining ring r to exhaustion before
-// touching ring r+1 is what preserves per-PID event order: the segments
-// are contiguous in the trace, so a PID's events arrive ring by ring in
-// exactly their stream order. wg is the phase barrier the coordinator
-// waits on.
-type phaseJob struct {
+// phase is a worker's share of one phase: its ring from each of the
+// phase's producers, to be drained in producer (= stream) order, and the
+// barrier the producer side waits on.
+type phase struct {
 	rings []*ring.Ring[[]cpu.Event]
-	wg    *sync.WaitGroup
+	done  *sync.WaitGroup
 }
 
-// worker owns one shard: a bounded SPSC job queue feeding a private
-// tracker. All tracker state is confined to the worker goroutine between
-// New and the done signal, so no locking is needed anywhere in the hot
-// path. The fault-bookkeeping fields are likewise written only by the
-// worker goroutine; the dispatcher reads them only after a quiesce point —
-// the inflight WaitGroup's Wait in Sync, a phase barrier in the
-// shard-owned drain, or <-done in Close — all of which establish the
+// worker owns one shard: a queue of phases feeding a private tracker. All
+// tracker state is confined to the worker goroutine between New and the
+// done signal, so no locking is needed anywhere in the hot path. The
+// fault-bookkeeping fields are likewise written only by the worker
+// goroutine; the producer side reads them only after a quiesce point — a
+// phase barrier's Wait, or <-done in Close — both of which establish the
 // necessary happens-before edge.
 type worker struct {
 	idx  int
-	q    *ring.Ring[job]
+	q    *ring.Ring[phase]
 	tr   *core.Tracker
 	done chan struct{}
 
@@ -64,58 +50,42 @@ type worker struct {
 	droppedBatches uint64
 }
 
-func newWorker(idx int, tr *core.Tracker, queueDepth, maxRestarts int) *worker {
+func newWorker(idx int, tr *core.Tracker, maxRestarts int) *worker {
 	return &worker{
+		q:           ring.New[phase](1), // one phase open at a time (see open)
 		idx:         idx,
-		q:           ring.New[job](queueDepth),
 		tr:          tr,
 		done:        make(chan struct{}),
 		maxRestarts: maxRestarts,
 	}
 }
 
-// run drains jobs until the dispatcher closes the input ring, returning
-// spent batch slices to the shared pool and marking each push-mode batch
-// done on the inflight WaitGroup — the quiesce barrier Sync waits on. A
-// failed worker keeps draining — discarding further batches — so the
-// dispatcher's bounded sends can never hang on a dead consumer.
-func (w *worker) run(obs func(int, cpu.Event), pool *sync.Pool, inflight *sync.WaitGroup, pm PipelineMetrics) {
+// run drains phases until Close closes the queue. Within a phase every
+// producer ring is drained to exhaustion, in producer order; a ring's Pop
+// returning false is that producer's end marker. Spent batch slices go
+// back to the shared pool. A failed worker keeps draining — discarding
+// further batches — so a producer's bounded pushes can never hang on a
+// dead consumer.
+func (w *worker) run(obs func(int, cpu.Event), pool *sync.Pool, pm PipelineMetrics) {
 	defer close(w.done)
 	for {
-		j, ok := w.q.Pop()
+		ph, ok := w.q.Pop()
 		if !ok {
 			return
 		}
-		if j.phase != nil {
-			w.runPhase(j.phase, obs, pool, pm)
-			continue
-		}
-		w.process(j.batch, obs, pm)
-		b := j.batch[:0]
-		pool.Put(&b)
-		pm.QueueDepth.Dec()
-		inflight.Done()
-	}
-}
-
-// runPhase consumes one shard-owned phase: every data ring drained to
-// exhaustion, in reader order. The rings are closed by their producing
-// readers when the segment ends (or fails), so a ring's Pop returning
-// false is the segment's end marker. Fault policy is identical to push
-// mode — the batches flow through the same process() path, restart budget
-// and all.
-func (w *worker) runPhase(ph *phaseJob, obs func(int, cpu.Event), pool *sync.Pool, pm PipelineMetrics) {
-	defer ph.wg.Done()
-	for _, src := range ph.rings {
-		for {
-			batch, ok := src.Pop()
-			if !ok {
-				break
+		for _, src := range ph.rings {
+			for {
+				batch, ok := src.Pop()
+				if !ok {
+					break
+				}
+				w.process(batch, obs, pm)
+				pm.QueueDepth.Dec()
+				b := batch[:0]
+				pool.Put(&b)
 			}
-			w.process(batch, obs, pm)
-			b := batch[:0]
-			pool.Put(&b)
 		}
+		ph.done.Done()
 	}
 }
 

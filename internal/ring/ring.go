@@ -1,14 +1,15 @@
 // Package ring provides a bounded single-producer/single-consumer queue —
-// the hand-off primitive of the shard-owned pipeline. A Go channel is a
+// the pipeline's hand-off primitive. A Go channel is a
 // multi-producer/multi-consumer structure and pays for that generality
 // with a mutex on every operation; the pipeline's hand-offs are all
-// strictly one producer to one consumer (dispatcher→worker, and segment
-// reader→worker in the shard-owned path), so the ring replaces the lock
-// with two monotonic cursors: the producer owns the tail, the consumer
-// owns the head, and each side only ever loads the other's cursor. The
-// uncontended fast path is two atomic operations and no allocation; a
-// full (or empty) ring parks the blocked side on a one-token wake channel
-// instead of spinning.
+// strictly one producer to one consumer (each pipeline producer — the
+// Event caller or a DrainTrace segment reader — owns one ring per worker,
+// and a worker's phase queue is fed only by the goroutine driving the
+// pipeline), so the ring replaces the lock with two monotonic cursors:
+// the producer owns the tail, the consumer owns the head, and each side
+// only ever loads the other's cursor. The uncontended fast path is two
+// atomic operations and no allocation; a full (or empty) ring parks the
+// blocked side on a one-token wake channel instead of spinning.
 package ring
 
 import "sync/atomic"

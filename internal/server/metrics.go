@@ -24,8 +24,6 @@ type serverMetrics struct {
 	ingestBytes     *metrics.Counter // wire bytes drawn from ingest request bodies
 	ingestSeconds   *metrics.Histogram
 
-	peekHits           *metrics.Counter // spilled-session queries served from the snapshot cache
-	peekMisses         *metrics.Counter // spilled-session queries that decoded a snapshot
 	spillBatches       *metrics.Counter // grouped eviction write bursts
 	spillBatchSessions *metrics.Counter // sessions dehydrated across those bursts
 
@@ -55,8 +53,6 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 	m.ingestBytes = r.Counter("pift_server_ingest_bytes_total", "wire bytes drawn from ingest request bodies, all tenants")
 	m.ingestSeconds = r.Histogram("pift_server_ingest_seconds", "wall time of one ingest request", metrics.LatencyBuckets)
 
-	m.peekHits = r.Counter("pift_server_peek_cache_hits_total", "spilled-session queries served from the snapshot cache")
-	m.peekMisses = r.Counter("pift_server_peek_cache_misses_total", "spilled-session queries that decoded a spill snapshot")
 	m.spillBatches = r.Counter("pift_server_spill_batches_total", "grouped eviction write bursts")
 	m.spillBatchSessions = r.Counter("pift_server_spill_batch_sessions_total", "sessions dehydrated across grouped eviction bursts")
 

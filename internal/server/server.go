@@ -75,11 +75,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// Registry receives the serving metrics; nil disables them.
 	Registry *metrics.Registry
-
-	// SnapshotCache is how many hydrated peek snapshots of spilled
-	// sessions to keep for query traffic. 0 selects 8; negative disables
-	// the cache.
-	SnapshotCache int
 }
 
 func (c Config) withDefaults() Config {
@@ -92,9 +87,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.SnapshotCache == 0 {
-		c.SnapshotCache = 8
-	}
 	return c
 }
 
@@ -104,7 +96,6 @@ type Server struct {
 	cfg     Config
 	m       *serverMetrics
 	streams chan struct{} // counting semaphore on concurrent ingests
-	cache   *peekCache    // hydrated snapshots of spilled sessions; nil when disabled
 
 	mu        sync.Mutex
 	sessions  map[string]*session
@@ -129,7 +120,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		m:        newServerMetrics(cfg.Registry),
 		streams:  make(chan struct{}, cfg.MaxStreams),
-		cache:    newPeekCache(cfg.SnapshotCache),
 		sessions: make(map[string]*session),
 		lru:      list.New(),
 	}
@@ -357,9 +347,6 @@ func (s *Server) ingestLocked(sess *session, r *http.Request) (IngestResponse, *
 	resp.Acked = sess.acked.Load()
 	sess.mEvents.Add(resp.Ingested)
 	sess.mVerdicts.Add(uint64(len(sess.tr.Verdicts()) - verdictsBefore))
-	if resp.Ingested > 0 {
-		sess.gen.Add(1)
-	}
 	s.touch(sess)
 	return resp, ierr
 }
@@ -383,9 +370,9 @@ func (s *Server) currentLiveBytes() int64 {
 	return s.liveBytes
 }
 
-// withSession runs fn with the session's state, hydrating a peek copy for
-// spilled sessions without changing their residency — a read-only query
-// against 10k dormant sessions must not thrash the LRU.
+// withSession runs fn with the session's state under a TryLock: a query
+// that finds the tenant mid-ingest gets a 429 rather than queueing behind
+// it.
 func (s *Server) withSession(w http.ResponseWriter, r *http.Request, fn func(sess *session, tr *core.Tracker)) {
 	id := r.PathValue("id")
 	sess := s.lookup(id)
@@ -399,22 +386,32 @@ func (s *Server) withSession(w http.ResponseWriter, r *http.Request, fn func(ses
 		return
 	}
 	defer sess.mu.Unlock()
-	tr := sess.tr
-	if tr == nil && !sess.spilled.Load() {
-		writeJSON(w, http.StatusNotFound, IngestResponse{Session: id, Error: "unknown-session"})
-		return
+	if tr, ok := s.sessionState(w, sess); ok {
+		fn(sess, tr)
 	}
+}
+
+// sessionState returns the tracker a query reads: the live one, or for a
+// spilled session a copy decoded from its spill file without changing its
+// residency — a read-only query against 10k dormant sessions must not
+// thrash the LRU. On failure it writes the error response and reports
+// false. Caller holds sess.mu.
+func (s *Server) sessionState(w http.ResponseWriter, sess *session) (*core.Tracker, bool) {
 	if sess.spilled.Load() {
-		var err error
-		tr, err = s.peekSnapshot(sess)
+		tr, err := s.peekSpilled(sess)
 		if err != nil {
 			writeJSON(w, http.StatusInternalServerError, IngestResponse{
-				Session: id, Error: "hydrate-failed", Detail: err.Error(),
+				Session: sess.id, Error: "hydrate-failed", Detail: err.Error(),
 			})
-			return
+			return nil, false
 		}
+		return tr, true
 	}
-	fn(sess, tr)
+	if sess.tr == nil { // finalized while the caller waited for mu
+		writeJSON(w, http.StatusNotFound, IngestResponse{Session: sess.id, Error: "unknown-session"})
+		return nil, false
+	}
+	return sess.tr, true
 }
 
 func verdictsJSON(tr *core.Tracker) []VerdictJSON {
@@ -464,20 +461,9 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	tr := sess.tr
-	if tr == nil && !sess.spilled.Load() {
-		writeJSON(w, http.StatusNotFound, IngestResponse{Session: id, Error: "unknown-session"})
+	tr, ok := s.sessionState(w, sess)
+	if !ok {
 		return
-	}
-	if sess.spilled.Load() {
-		var err error
-		tr, err = s.peekSnapshot(sess)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, IngestResponse{
-				Session: id, Error: "hydrate-failed", Detail: err.Error(),
-			})
-			return
-		}
 	}
 	resp := VerdictsResponse{
 		Session:  sess.id,

@@ -440,6 +440,95 @@ func TestRestartRecovery(t *testing.T) {
 	requireParity(t, s2.verdicts(t, "delta"), eval.OneShotVerdicts(events, testCfg), "restart")
 }
 
+// TestSpilledQueryReflectsNewIngest: queries against a spilled session
+// decode its current spill file, so an answer never predates the last
+// ingest. Query a spilled session, ingest more (hydrate, apply, spill
+// again), query again: the second answer covers the new events.
+func TestSpilledQueryReflectsNewIngest(t *testing.T) {
+	h := sharedHarness(t)
+	events, err := h.TenantEvents(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestService(t, func(c *server.Config) { c.MemoryBudget = 1 }) // spill after every touch
+	half := len(events) / 2
+	requireSpilled := func(label string, acked int) {
+		t.Helper()
+		if st := s.stats(t, "requery"); st.State != "spilled" || st.Acked != uint64(acked) {
+			t.Fatalf("%s: stats %+v, want spilled at %d", label, st, acked)
+		}
+	}
+	if ir, code := s.post(t, "requery", events, 0, half); code != http.StatusOK {
+		t.Fatalf("chunk 1: status %d %+v", code, ir)
+	}
+	requireSpilled("after chunk 1", half)
+	wantHalf := eval.OneShotVerdicts(events[:half], testCfg)
+	requireParity(t, s.verdicts(t, "requery"), wantHalf, "half")
+	requireParity(t, s.verdicts(t, "requery"), wantHalf, "half, repeated")
+	if ir, code := s.post(t, "requery", events, half, len(events)); code != http.StatusOK {
+		t.Fatalf("chunk 2: status %d %+v", code, ir)
+	}
+	requireSpilled("after chunk 2", len(events))
+	requireParity(t, s.verdicts(t, "requery"), eval.OneShotVerdicts(events, testCfg), "full, post-ingest")
+	requireStats(t, s, "requery", events)
+	if n := counterOf(s, "pift_server_dehydrates_total"); n < 2 {
+		t.Fatalf("session spilled %d times, want one spill per ingest", n)
+	}
+}
+
+// TestSpilledQueriesDuringIngest hammers one tenant with queries while its
+// stream is still arriving and the byte budget evicts it after every
+// touch: query and ingest must stay race-clean under -race, and the final
+// state must be exact.
+func TestSpilledQueriesDuringIngest(t *testing.T) {
+	h := sharedHarness(t)
+	events, err := h.TenantEvents(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestService(t, func(c *server.Config) {
+		c.MemoryBudget = 1
+		c.MaxStreams = 16
+	})
+	const chunks = 8
+	per := (len(events) + chunks - 1) / chunks
+	if _, code := s.post(t, "busy", events, 0, per); code != http.StatusOK {
+		t.Fatalf("first chunk: status %d", code)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, kind := range []string{"/verdicts", "/stats", "/verdicts"} {
+		wg.Add(1)
+		go func(kind string) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Raw queries: 429/404 races are fine here, only data races
+				// and the final parity check below matter.
+				resp, err := http.Get(s.base("busy") + kind)
+				if err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}
+		}(kind)
+	}
+	for start := per; start < len(events); start += per {
+		end := min(start+per, len(events))
+		if ir, code := s.post(t, "busy", events, start, end); code != http.StatusOK {
+			t.Fatalf("chunk [%d,%d): status %d %+v", start, end, code, ir)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	requireParity(t, s.verdicts(t, "busy"), eval.OneShotVerdicts(events, testCfg), "concurrent")
+}
+
 // TestFinalize: DELETE returns the final verdicts and releases everything;
 // the session is gone afterwards.
 func TestFinalize(t *testing.T) {

@@ -52,9 +52,6 @@ type session struct {
 	// the session-list endpoint, hence atomic.
 	acked   atomic.Uint64 // events applied over the session's lifetime
 	spilled atomic.Bool
-	// gen counts mutating ingests; the peek cache keys on it so cached
-	// query snapshots invalidate the moment new events land.
-	gen atomic.Uint64
 
 	// Per-tenant series, resolved once so the ingest loop touches only
 	// plain atomic counters.
@@ -342,7 +339,6 @@ func (s *Server) remove(sess *session) {
 		s.m.sessionsLive.Dec()
 	}
 	os.Remove(s.spillPath(sess.id))
-	s.cache.drop(sess.id)
 	sess.tr = nil
 	sess.spilled.Store(false)
 	s.m.finalized.Inc()
