@@ -21,6 +21,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/taint"
 	"repro/internal/trace"
+	"repro/internal/trace/tracegen"
 	"repro/internal/tracestat"
 )
 
@@ -197,15 +198,36 @@ func BenchmarkCPUExecution(b *testing.B) {
 }
 
 // BenchmarkTrackerThroughput measures PIFT event-processing speed on a
-// recorded trace — the hot loop of every sweep.
+// recorded trace — the hot loop of every sweep. Besides LGRoot it replays
+// two 1M-event synthetic traces shaped like perfbench's workloads: bulk
+// (long per-PID runs, where the last-PID caches hit) and interleave (a PID
+// switch on every event, where they miss), in ns/event.
 func BenchmarkTrackerThroughput(b *testing.B) {
-	rec := recordLGRoot(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := core.NewTracker(core.Config{NI: 13, NT: 3, Untaint: true}, nil)
-		rec.Replay(tr)
+	cfg := core.Config{NI: 13, NT: 3, Untaint: true}
+	b.Run("lgroot", func(b *testing.B) {
+		rec := recordLGRoot(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec.Replay(core.NewTracker(cfg, nil))
+		}
+		b.ReportMetric(float64(rec.Len()), "events/op")
+	})
+	for _, w := range []struct {
+		name string
+		spec tracegen.Spec
+	}{
+		{"bulk", tracegen.Spec{Seed: 1, Events: 1 << 20, PIDs: 64, Quantum: 64}},
+		{"interleave", tracegen.Spec{Seed: 1, Events: 1 << 20, PIDs: 512, Quantum: 1, SourceEvery: 512}},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			rec := tracegen.Generate(w.spec)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec.Replay(core.NewTracker(cfg, nil))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rec.Len()), "ns/event")
+		})
 	}
-	b.ReportMetric(float64(rec.Len()), "events/op")
 }
 
 // BenchmarkPIFTvsDIFT compares the two trackers' live overhead on the same

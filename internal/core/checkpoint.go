@@ -36,12 +36,16 @@ import (
 var snapshotMagic = [8]byte{'P', 'I', 'F', 'T', 'S', 'N', 'P', '1'}
 
 // Per-section sanity caps, in the spirit of the trace reader's: a corrupt
-// count must fail fast instead of provoking a giant allocation.
+// count must fail fast. A count under its cap is still untrusted until
+// the bytes behind it arrive, so no section pre-sizes for more than
+// snapSizeHint entries; append and map growth follow the bytes actually
+// read.
 const (
 	snapMaxWindows  = 1 << 24
 	snapMaxPIDs     = 1 << 24
 	snapMaxRanges   = 1 << 26
 	snapMaxVerdicts = 1 << 26
+	snapSizeHint    = 1 << 10
 )
 
 // WriteSnapshot serializes the tracker's complete analysis state. It
@@ -149,7 +153,7 @@ func ReadSnapshot(r io.Reader) (*Tracker, error) {
 	if cr.err == nil && nwin > snapMaxWindows {
 		return nil, fmt.Errorf("core: snapshot declares %d windows", nwin)
 	}
-	windows := make(map[uint32]*window, nwin)
+	windows := make(map[uint32]*window, min(nwin, snapSizeHint))
 	var prevPID uint32
 	for i := uint32(0); i < nwin && cr.err == nil; i++ {
 		pid := cr.u32()
@@ -191,7 +195,7 @@ func ReadSnapshot(r io.Reader) (*Tracker, error) {
 	}
 	var verdicts []SinkVerdict
 	if cr.err == nil && nv > 0 {
-		verdicts = make([]SinkVerdict, 0, nv)
+		verdicts = make([]SinkVerdict, 0, min(nv, snapSizeHint))
 	}
 	for i := uint32(0); i < nv && cr.err == nil; i++ {
 		verdicts = append(verdicts, SinkVerdict{

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cpu"
@@ -153,5 +156,35 @@ func TestSnapshotRequiresIdealStore(t *testing.T) {
 	tr := NewTracker(snapCfg, NewMondrianStore())
 	if _, err := tr.WriteSnapshot(io.Discard); err == nil {
 		t.Fatal("snapshot of a bounded store accepted")
+	}
+}
+
+// TestSnapshotUntrustedCounts: spill files carry no CRC, so a truncated
+// snapshot whose window or verdict count sits under its cap must fail as
+// a truncation without pre-sizing for the declared count.
+func TestSnapshotUntrustedCounts(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := NewTracker(snapCfg, nil).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// An empty tracker: header, config and stats (97 bytes), then zero
+	// windows, taint sets and verdicts, one u32 count each.
+	empty := buf.Bytes()
+	if len(empty) != 109 {
+		t.Fatalf("empty snapshot is %d bytes, want 109", len(empty))
+	}
+	windows := binary.LittleEndian.AppendUint32(bytes.Clone(empty[:97]), snapMaxWindows)
+	verdicts := binary.LittleEndian.AppendUint32(bytes.Clone(empty[:105]), snapMaxVerdicts)
+	for name, raw := range map[string][]byte{"windows": windows, "verdicts": verdicts} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadSnapshot(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: err = %v, want io.ErrUnexpectedEOF", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Fatalf("%s: ReadSnapshot allocated %d bytes for a %d-byte input", name, n, len(raw))
+		}
 	}
 }

@@ -96,14 +96,10 @@ func (p *Pipeline) WriteCheckpoint(w io.Writer) (int64, error) {
 // The worker count and tracker configuration are authoritative in the
 // checkpoint; opts may leave them zero, and explicitly conflicting values
 // are an error (resuming under different parameters would break the
-// resume-equals-uninterrupted guarantee). NewStore must be nil — the
-// snapshot codec restores the unbounded IdealStore. Feed the restored
+// resume-equals-uninterrupted guarantee). Feed the restored
 // pipeline the stream from Offset() onward (trace.Reader.Skip) and the
 // merged result is byte-identical to an uninterrupted run.
 func Restore(r io.Reader, opts Options) (*Pipeline, error) {
-	if opts.NewStore != nil {
-		return nil, fmt.Errorf("pipeline: restore supports only the ideal store (NewStore must be nil)")
-	}
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("pipeline: checkpoint magic: %w", unexpectEOF(err))
@@ -119,8 +115,13 @@ func Restore(r io.Reader, opts Options) (*Pipeline, error) {
 	if length > ckptMaxPayload {
 		return nil, fmt.Errorf("pipeline: implausible checkpoint payload %d bytes", length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The length is untrusted until the bytes arrive (there is no CRC
+	// yet), so the buffer grows with what is actually read.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(length)))
+	if err == nil && uint64(len(payload)) < length {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("pipeline: checkpoint payload: %w", unexpectEOF(err))
 	}
 	var crcBuf [4]byte

@@ -2,7 +2,11 @@ package pipeline_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -186,11 +190,6 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}); err == nil {
 		t.Fatal("conflicting config accepted")
 	}
-	if _, err := pipeline.Restore(bytes.NewReader(full), pipeline.Options{
-		NewStore: func() core.Store { return core.NewIdealStore() },
-	}); err == nil {
-		t.Fatal("restore with NewStore accepted")
-	}
 	// The pristine checkpoint must still restore (the mutations above
 	// worked on copies).
 	r, err := pipeline.Restore(bytes.NewReader(full), pipeline.Options{})
@@ -198,4 +197,27 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Close()
+}
+
+// TestRestoreUntrustedLength: a 16-byte checkpoint declaring a 1 GiB
+// payload must fail as a truncation without allocating the declared
+// length — the CRC that would vouch for it comes after the payload.
+func TestRestoreUntrustedLength(t *testing.T) {
+	p := pipeline.New(pipeline.Options{Workers: 1, Config: testCfg})
+	var ckpt bytes.Buffer
+	if _, err := p.WriteCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	raw := binary.LittleEndian.AppendUint64(bytes.Clone(ckpt.Bytes()[:8]), 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := pipeline.Restore(bytes.NewReader(raw), pipeline.Options{})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("Restore allocated %d bytes for a 16-byte input", n)
+	}
 }

@@ -33,11 +33,6 @@ type Options struct {
 	// Config holds the tainting-window parameters every worker's tracker
 	// runs with. Invalid configs panic in New, matching core.NewTracker.
 	Config core.Config
-	// NewStore builds each worker's taint store; nil means a fresh
-	// unbounded IdealStore per worker. Note that bounded stores size
-	// per worker: capacity-induced evictions then depend on the shard
-	// layout, unlike the exact per-PID semantics of the ideal store.
-	NewStore func() core.Store
 	// Observer, when non-nil, is invoked on the worker goroutine for
 	// every event just before the tracker consumes it. It exists for
 	// tests and metrics; it must not call back into the pipeline.

@@ -61,11 +61,7 @@ func New(opts Options) *Pipeline {
 	}
 	trackers := make([]*core.Tracker, opts.Workers)
 	for i := range trackers {
-		var store core.Store
-		if opts.NewStore != nil {
-			store = opts.NewStore()
-		}
-		trackers[i] = core.NewTracker(opts.Config, store)
+		trackers[i] = core.NewTracker(opts.Config, nil)
 	}
 	return launch(opts, trackers)
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -22,10 +21,8 @@ import (
 // taxonomy decode would produce.
 
 type blockMeta struct {
-	first uint64 // absolute index of the block's first event
-	off   int64  // byte offset of the block header in the stream
-	count uint32 // events in the block
-	clen  uint32 // payload bytes
+	blockHeader
+	off int64 // byte offset of the block header in the stream
 }
 
 // Index describes the physical layout of one serialized trace: its
@@ -63,66 +60,59 @@ func (idx *Index) Block(i int) BlockInfo {
 }
 
 // LoadIndex sniffs the trace header in ra and builds the Index. For a v1
-// trace this is exactly ReadHeader; for v2 it additionally walks and
+// trace the header is all there is; for v2 it additionally walks and
 // validates the block headers. The error taxonomy matches NewReader:
 // ErrBadMagic, ErrTooLarge, ErrTruncated on a stream cut short,
 // ErrCorrupt on an impossible block chain.
 func LoadIndex(ra io.ReaderAt) (*Index, error) {
-	var hdr [HeaderSize]byte
-	if _, err := ra.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", truncated(err))
+	f, count, err := readHeader(io.NewSectionReader(ra, 0, HeaderSize))
+	if err != nil {
+		return nil, err
 	}
-	count := binary.LittleEndian.Uint64(hdr[8:])
-	const sanityCap = 1 << 31
-	switch [8]byte(hdr[:8]) {
-	case traceMagic:
-		if count > sanityCap {
-			return nil, fmt.Errorf("trace: %w: %d", ErrTooLarge, count)
-		}
-		return &Index{format: FormatV1, count: count}, nil
-	case traceMagicV2:
-		if count > sanityCap {
-			return nil, fmt.Errorf("trace: %w: %d", ErrTooLarge, count)
-		}
-		idx := &Index{format: FormatV2, count: count}
-		off := int64(HeaderSize)
-		var next uint64
-		for next < count {
-			var bh [blockHeaderSize]byte
-			if _, err := ra.ReadAt(bh[:], off); err != nil {
-				return nil, fmt.Errorf("trace: event %d: block header: %w", next, truncated(err))
-			}
-			first := binary.LittleEndian.Uint64(bh[0:])
-			bcount := binary.LittleEndian.Uint32(bh[8:])
-			clen := binary.LittleEndian.Uint32(bh[12:])
-			if first != next {
-				return nil, fmt.Errorf("trace: event %d: %w: block claims first event %d, want %d", next, ErrCorrupt, first, next)
-			}
-			if bcount == 0 || bcount > maxBlockEvents || first+uint64(bcount) > count {
-				return nil, fmt.Errorf("trace: event %d: %w: block claims %d events at %d of %d", next, ErrCorrupt, bcount, first, count)
-			}
-			if clen > maxBlockBytes {
-				return nil, fmt.Errorf("trace: event %d: %w: block claims %d payload bytes", next, ErrTooLarge, clen)
-			}
-			idx.blocks = append(idx.blocks, blockMeta{first: first, off: off, count: bcount, clen: clen})
-			off += blockHeaderSize + int64(clen)
-			next = first + uint64(bcount)
-		}
+	idx := &Index{format: f, count: count}
+	if f == FormatV1 {
 		return idx, nil
 	}
-	return nil, fmt.Errorf("trace: %w: bad magic %q", ErrBadMagic, hdr[:8])
+	off := int64(HeaderSize)
+	for next := uint64(0); next < count; {
+		var raw [blockHeaderSize]byte
+		if _, err := ra.ReadAt(raw[:], off); err != nil {
+			return nil, fmt.Errorf("trace: event %d: block header: %w", next, truncated(err))
+		}
+		h, err := parseBlockHeader(&raw, next, next, count)
+		if err != nil {
+			return nil, err
+		}
+		idx.blocks = append(idx.blocks, blockMeta{blockHeader: h, off: off})
+		off += blockHeaderSize + int64(h.clen)
+		next = h.first + uint64(h.count)
+	}
+	return idx, nil
 }
 
-// PlanRange splits [first, first+count) into at most `readers` contiguous
-// segments, exactly like the package-level PlanRange but aware of the
-// trace's physical layout. For v1 it defers to the batch-aligned
-// arithmetic unchanged. For v2, interior boundaries snap to block firsts
-// (the smallest block start at or after the balanced ideal split), so
-// every reader but the first starts on a block boundary and never decodes
-// a discarded prefix; `batch` does not constrain v2 boundaries.
+// Segment is a half-open range of events [First, First+Count) of a
+// serialized trace. Segments produced by Index.PlanRange are contiguous
+// and non-overlapping: concatenated in order they cover the planned
+// range exactly once.
+type Segment struct {
+	First uint64 // absolute index of the segment's first event
+	Count uint64 // number of events in the segment
+}
+
+// End returns the absolute index one past the segment's last event.
+func (s Segment) End() uint64 { return s.First + s.Count }
+
+// PlanRange splits the event range [first, first+count) into at most
+// `readers` contiguous segments, one per shard-owned reader; an empty
+// range plans to nil. For v1, interior boundaries land on multiples of
+// `batch` events from `first` (see planBatches). For v2, interior
+// boundaries snap to block firsts (the smallest block start at or after
+// the balanced ideal split), so every reader but the first starts on a
+// block boundary and never decodes a discarded prefix; `batch` does not
+// constrain v2 boundaries.
 func (idx *Index) PlanRange(first, count uint64, readers, batch int) []Segment {
 	if idx.format == FormatV1 {
-		return PlanRange(first, count, readers, batch)
+		return planBatches(first, count, readers, batch)
 	}
 	if count == 0 {
 		return nil
@@ -154,40 +144,75 @@ func (idx *Index) PlanRange(first, count uint64, readers, batch int) []Segment {
 	return append(segs, Segment{First: at, Count: end - at})
 }
 
-// PlanSegments plans the whole trace: PlanRange from event 0.
-func (idx *Index) PlanSegments(readers, batch int) []Segment {
-	return idx.PlanRange(0, idx.count, readers, batch)
+// planBatches is the v1 planner. PIFTTRC1 is fixed-stride, so a trace
+// pre-splits by pure arithmetic: interior boundaries land on multiples of
+// `batch` events from `first`, so every segment but the last holds whole
+// batches — a reader never decodes a partial batch except at the end of
+// the range. Counts are balanced to within one batch. Fewer than
+// `readers` segments come back when the range has fewer batches than
+// readers.
+func planBatches(first, count uint64, readers, batch int) []Segment {
+	if count == 0 {
+		return nil
+	}
+	if readers < 1 {
+		readers = 1
+	}
+	if batch < 1 {
+		batch = 1
+	}
+	b := uint64(batch)
+	batches := (count + b - 1) / b
+	n := uint64(readers)
+	if n > batches {
+		n = batches
+	}
+	per, extra := batches/n, batches%n
+	segs := make([]Segment, 0, n)
+	at := first
+	for i := uint64(0); i < n; i++ {
+		take := per
+		if i < extra {
+			take++
+		}
+		c := take * b
+		if at+c > first+count { // last segment: the trace's ragged tail
+			c = first + count - at
+		}
+		segs = append(segs, Segment{First: at, Count: c})
+		at += c
+	}
+	return segs
 }
 
 // SegmentReader opens a Reader over one planned segment of the trace in
-// ra, positioned at seg.First and reporting absolute offsets, exactly
-// like NewSegmentReader does for v1. For v2 the reader's section spans
+// ra. The reader is positioned at the segment's first event and reports
+// absolute positions: Offset() starts at seg.First, event indices in
+// errors are absolute, and io.EOF arrives exactly at seg.End() — so
+// per-segment readers compose with checkpoint offsets and fault reports
+// exactly like a whole-trace Reader that was Skip()ed to seg.First. A v1
+// reader's section is the segment's records. A v2 reader's section spans
 // the block containing seg.First through the block containing the
 // segment's last event; a segment starting mid-block decodes that block
 // and discards the prefix, one ending mid-block stops at its logical end.
+// A segment beyond the physical end of ra surfaces as a truncation at the
+// first short read.
 func (idx *Index) SegmentReader(ra io.ReaderAt, seg Segment) *Reader {
-	if idx.format == FormatV1 {
-		return NewSegmentReader(ra, seg)
+	r := &Reader{v2: idx.format == FormatV2, count: seg.End(), read: seg.First, total: idx.count}
+	var off, n int64
+	switch {
+	case !r.v2:
+		off, n = HeaderSize+int64(seg.First)*EventSize, int64(seg.Count)*EventSize
+	case seg.Count > 0:
+		fb, lb := idx.blockOf(seg.First), idx.blockOf(seg.End()-1)
+		off, n = fb.off, lb.off+blockHeaderSize+int64(lb.clen)-fb.off
+		r.nextBlock = fb.first
 	}
-	if seg.Count == 0 {
-		return &Reader{
-			br:    bufio.NewReader(io.NewSectionReader(ra, 0, 0)),
-			v2:    true,
-			count: seg.First,
-			read:  seg.First,
-			total: idx.count,
-		}
-	}
-	bi := sort.Search(len(idx.blocks), func(j int) bool { return idx.blocks[j].first > seg.First }) - 1
-	li := sort.Search(len(idx.blocks), func(j int) bool { return idx.blocks[j].first > seg.End()-1 }) - 1
-	fb, lb := idx.blocks[bi], idx.blocks[li]
-	endOff := lb.off + blockHeaderSize + int64(lb.clen)
-	return &Reader{
-		br:        bufio.NewReader(io.NewSectionReader(ra, fb.off, endOff-fb.off)),
-		v2:        true,
-		count:     seg.End(),
-		read:      seg.First,
-		total:     idx.count,
-		nextBlock: fb.first,
-	}
+	r.br = bufio.NewReader(io.NewSectionReader(ra, off, n))
+	return r
+}
+
+// blockOf returns the block holding event i.
+func (idx *Index) blockOf(i uint64) blockMeta {
+	return idx.blocks[sort.Search(len(idx.blocks), func(j int) bool { return idx.blocks[j].first > i })-1]
 }

@@ -29,7 +29,7 @@ func truncated(err error) error {
 // Reader streams events out of a serialized trace one at a time, so
 // multi-gigabyte traces can feed an analysis pipeline without ever
 // materializing the full []Event slice. It validates the header eagerly
-// (in NewReader) and each record lazily (in Next).
+// (in NewReader) and each record lazily (in NextBatch, which Next wraps).
 //
 // Error taxonomy: Next returns exactly io.EOF only at the clean end of
 // the stream (all declared events decoded). A stream that ends early —
@@ -55,37 +55,15 @@ type Reader struct {
 // NewReader wraps r, reading and validating the trace header. The wire
 // format — PIFTTRC1 or PIFTTRC2 — is sniffed from the magic; everything
 // after that (Next/NextBatch/Skip/Offset, the error taxonomy) behaves
-// identically for both. The stream must then be drained with Next; the
-// first call after the last event returns io.EOF.
+// identically for both. The stream must then be drained with Next or
+// NextBatch; the first call after the last event returns io.EOF.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		// There is no such thing as a valid empty trace: even zero events
-		// serialize to a 16-byte header, so running dry here — including on
-		// a zero-byte stream — is a truncation, not a clean end.
-		return nil, fmt.Errorf("trace: reading magic: %w", truncated(err))
+	f, count, err := readHeader(br)
+	if err != nil {
+		return nil, err
 	}
-	var v2 bool
-	switch magic {
-	case traceMagic:
-	case traceMagicV2:
-		v2 = true
-	default:
-		return nil, fmt.Errorf("trace: %w: bad magic %q", ErrBadMagic, magic[:])
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		// The magic was present, so a missing count is a truncated
-		// header, not a clean end of anything.
-		return nil, fmt.Errorf("trace: reading count: %w", truncated(err))
-	}
-	count := binary.LittleEndian.Uint64(hdr[:])
-	const sanityCap = 1 << 31
-	if count > sanityCap {
-		return nil, fmt.Errorf("trace: %w: %d", ErrTooLarge, count)
-	}
-	return &Reader{br: br, count: count, v2: v2, total: count}, nil
+	return &Reader{br: br, count: count, v2: f == FormatV2, total: count}, nil
 }
 
 // Format reports which wire format the stream carries.
@@ -211,36 +189,12 @@ func (d *Reader) NextBatch(dst []cpu.Event) (int, error) {
 
 // Next decodes and returns the next event. It returns io.EOF once all
 // declared events have been read, and a descriptive error on truncated or
-// corrupt records.
+// corrupt records. It is NextBatch on a one-slot batch, so both share one
+// decode loop per format and one error taxonomy.
 func (d *Reader) Next() (cpu.Event, error) {
-	if d.read >= d.count {
-		return cpu.Event{}, io.EOF
+	var one [1]cpu.Event
+	if _, err := d.NextBatch(one[:]); err != nil {
+		return cpu.Event{}, err
 	}
-	if d.v2 {
-		return d.nextV2()
-	}
-	var rec [eventWireSize]byte
-	if _, err := io.ReadFull(d.br, rec[:]); err != nil {
-		// The header declared more events, so running dry here — whether
-		// on a record boundary (ReadFull's io.EOF) or inside a record
-		// (its io.ErrUnexpectedEOF) — is a truncated trace.
-		return cpu.Event{}, fmt.Errorf("trace: event %d: %w", d.read, truncated(err))
-	}
-	kind := cpu.EventKind(rec[0])
-	if kind > cpu.EvSinkCheck {
-		return cpu.Event{}, fmt.Errorf("trace: event %d: %w: unknown kind %d", d.read, ErrCorrupt, kind)
-	}
-	start := binary.LittleEndian.Uint32(rec[13:])
-	end := binary.LittleEndian.Uint32(rec[17:])
-	if end < start {
-		return cpu.Event{}, fmt.Errorf("trace: event %d: %w: inverted range", d.read, ErrCorrupt)
-	}
-	d.read++
-	return cpu.Event{
-		Kind:  kind,
-		PID:   binary.LittleEndian.Uint32(rec[1:]),
-		Seq:   binary.LittleEndian.Uint64(rec[5:]),
-		Range: mem.Range{Start: start, End: end},
-		Tag:   int(int32(binary.LittleEndian.Uint32(rec[21:]))),
-	}, nil
+	return one[0], nil
 }

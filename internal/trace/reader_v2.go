@@ -10,7 +10,7 @@ import (
 )
 
 // The PIFTTRC2 decode path. A v2 Reader decodes one block at a time into
-// a reused scratch slice (d.pending) and serves Next/NextBatch out of it,
+// a reused scratch slice (d.pending) and serves NextBatch out of it,
 // so after the first block grows the scratch the steady state allocates
 // nothing — the same contract the v1 batch path has. Because blocks are
 // self-contained, a reader positioned mid-block (a segment reader, or a
@@ -18,45 +18,63 @@ import (
 // discards the prefix; the extra work is bounded by one block per
 // segment boundary.
 
-// readBlockHeader reads and validates the next 20-byte block header.
-// Contiguity (the block's first event index must be exactly where the
-// stream stands) is what turns any reordered, duplicated, or spliced
-// block into ErrCorrupt instead of silently misattributed events.
-func (d *Reader) readBlockHeader() (first uint64, bcount, clen int, crc uint32, err error) {
-	var hdr [blockHeaderSize]byte
-	if _, err := io.ReadFull(d.br, hdr[:]); err != nil {
+// blockHeader is one PIFTTRC2 block's framing as read off the wire.
+type blockHeader struct {
+	first uint64 // absolute index of the block's first event
+	count uint32 // events in the block
+	clen  uint32 // payload bytes
+	crc   uint32 // CRC-32C of the payload
+}
+
+// parseBlockHeader decodes one block header and checks it against the
+// chain: the block must start exactly at event next, end within the
+// declared total, and claim a bounded payload. Contiguity is what turns
+// any reordered, duplicated, or spliced block into ErrCorrupt instead of
+// silently misattributed events. at is the event index errors report.
+// Reader and LoadIndex both validate through here.
+func parseBlockHeader(raw *[blockHeaderSize]byte, at, next, total uint64) (blockHeader, error) {
+	h := blockHeader{
+		first: binary.LittleEndian.Uint64(raw[0:]),
+		count: binary.LittleEndian.Uint32(raw[8:]),
+		clen:  binary.LittleEndian.Uint32(raw[12:]),
+		crc:   binary.LittleEndian.Uint32(raw[16:]),
+	}
+	if h.first != next {
+		return h, fmt.Errorf("trace: event %d: %w: block claims first event %d, want %d", at, ErrCorrupt, h.first, next)
+	}
+	if h.count == 0 || h.count > maxBlockEvents || h.first+uint64(h.count) > total {
+		return h, fmt.Errorf("trace: event %d: %w: block claims %d events at %d of %d", at, ErrCorrupt, h.count, h.first, total)
+	}
+	if h.clen > maxBlockBytes {
+		return h, fmt.Errorf("trace: event %d: %w: block claims %d payload bytes", at, ErrTooLarge, h.clen)
+	}
+	return h, nil
+}
+
+// readBlockHeader reads and validates the next block header.
+func (d *Reader) readBlockHeader() (blockHeader, error) {
+	var raw [blockHeaderSize]byte
+	if _, err := io.ReadFull(d.br, raw[:]); err != nil {
 		// The file header declared more events, so running dry between
 		// blocks or inside a block header is a truncation.
-		return 0, 0, 0, 0, fmt.Errorf("trace: event %d: block header: %w", d.read, truncated(err))
+		return blockHeader{}, fmt.Errorf("trace: event %d: block header: %w", d.read, truncated(err))
 	}
-	first = binary.LittleEndian.Uint64(hdr[0:])
-	count := binary.LittleEndian.Uint32(hdr[8:])
-	length := binary.LittleEndian.Uint32(hdr[12:])
-	crc = binary.LittleEndian.Uint32(hdr[16:])
-	if first != d.nextBlock {
-		return 0, 0, 0, 0, fmt.Errorf("trace: event %d: %w: block claims first event %d, want %d", d.read, ErrCorrupt, first, d.nextBlock)
-	}
-	if count == 0 || count > maxBlockEvents || first+uint64(count) > d.total {
-		return 0, 0, 0, 0, fmt.Errorf("trace: event %d: %w: block claims %d events at %d of %d", d.read, ErrCorrupt, count, first, d.total)
-	}
-	if length > maxBlockBytes {
-		return 0, 0, 0, 0, fmt.Errorf("trace: event %d: %w: block claims %d payload bytes", d.read, ErrTooLarge, length)
-	}
-	return first, int(count), int(length), crc, nil
+	return parseBlockHeader(&raw, d.read, d.nextBlock, d.total)
 }
 
 // loadBlock reads, checksums, and decodes one block's payload into
 // d.pending, leaving the cursor on the event the stream stands at (which
 // can be mid-block for segment readers).
-func (d *Reader) loadBlock(first uint64, bcount, clen int, crc uint32) error {
-	if cap(d.buf) < clen {
-		d.buf = make([]byte, clen)
+func (d *Reader) loadBlock(h blockHeader) error {
+	first, bcount := h.first, int(h.count)
+	if cap(d.buf) < int(h.clen) {
+		d.buf = make([]byte, h.clen)
 	}
-	payload := d.buf[:clen]
+	payload := d.buf[:h.clen]
 	if _, err := io.ReadFull(d.br, payload); err != nil {
 		return fmt.Errorf("trace: event %d: block payload: %w", d.read, truncated(err))
 	}
-	if got := crc32.Checksum(payload, castagnoli); got != crc {
+	if got := crc32.Checksum(payload, castagnoli); got != h.crc {
 		return fmt.Errorf("trace: block at event %d: %w: checksum mismatch", first, ErrCorrupt)
 	}
 	if cap(d.pending) < bcount {
@@ -80,23 +98,11 @@ func (d *Reader) loadBlock(first uint64, bcount, clen int, crc uint32) error {
 
 // decodeBlock advances the stream to the next block and decodes it.
 func (d *Reader) decodeBlock() error {
-	first, bcount, clen, crc, err := d.readBlockHeader()
+	h, err := d.readBlockHeader()
 	if err != nil {
 		return err
 	}
-	return d.loadBlock(first, bcount, clen, crc)
-}
-
-func (d *Reader) nextV2() (cpu.Event, error) {
-	if d.pendPos >= len(d.pending) {
-		if err := d.decodeBlock(); err != nil {
-			return cpu.Event{}, err
-		}
-	}
-	ev := d.pending[d.pendPos]
-	d.pendPos++
-	d.read++
-	return ev, nil
+	return d.loadBlock(h)
 }
 
 func (d *Reader) nextBatchV2(dst []cpu.Event) (int, error) {
@@ -133,20 +139,20 @@ func (d *Reader) skipV2(n uint64) error {
 			n -= c
 			continue
 		}
-		first, bcount, clen, crc, err := d.readBlockHeader()
+		h, err := d.readBlockHeader()
 		if err != nil {
 			return fmt.Errorf("trace: skipping to event %d: %w", target, err)
 		}
-		if uint64(bcount) <= n {
-			if _, err := d.br.Discard(clen); err != nil {
+		if uint64(h.count) <= n {
+			if _, err := d.br.Discard(int(h.clen)); err != nil {
 				return fmt.Errorf("trace: skipping to event %d: %w", target, truncated(err))
 			}
-			d.read += uint64(bcount)
-			n -= uint64(bcount)
-			d.nextBlock = first + uint64(bcount)
+			d.read += uint64(h.count)
+			n -= uint64(h.count)
+			d.nextBlock = h.first + uint64(h.count)
 			continue
 		}
-		if err := d.loadBlock(first, bcount, clen, crc); err != nil {
+		if err := d.loadBlock(h); err != nil {
 			return fmt.Errorf("trace: skipping to event %d: %w", target, err)
 		}
 	}

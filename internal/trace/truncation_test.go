@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -79,5 +81,31 @@ func TestReadFromRejectsTruncation(t *testing.T) {
 	data := buf.Bytes()[:buf.Len()-5]
 	if _, err := ReadFrom(bytes.NewReader(data)); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("ReadFrom(truncated) err = %v, want ErrUnexpectedEOF", err)
+	}
+}
+
+// allocatedBytes reports the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadFromUntrustedCount: a bare header declaring 2^28 events (8 GiB
+// of cpu.Event) must fail as a truncation without pre-sizing for the
+// declared count — the count is untrusted until its bytes arrive.
+func TestReadFromUntrustedCount(t *testing.T) {
+	for _, magic := range [][8]byte{traceMagic, traceMagicV2} {
+		hdr := binary.LittleEndian.AppendUint64(magic[:], 1<<28)
+		var err error
+		n := allocatedBytes(func() { _, err = ReadFrom(bytes.NewReader(hdr)) })
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: err = %v, want ErrTruncated", magic[:], err)
+		}
+		if n >= 1<<20 {
+			t.Fatalf("%s: ReadFrom allocated %d bytes for a 16-byte input", magic[:], n)
+		}
 	}
 }

@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"repro/internal/cpu"
 )
@@ -50,7 +48,7 @@ import (
 //
 // Self-contained blocks are what keep the shard-owned ingest working at
 // block granularity: an Index built from one cheap header walk locates
-// any block by event index, so PlanRange still pre-splits a trace into
+// any block by event index, so Index.PlanRange still pre-splits a trace into
 // per-reader segments by arithmetic — over block boundaries instead of a
 // fixed record stride — and a segment reader starting mid-block decodes
 // its containing block and discards the prefix. The per-block CRC plus
@@ -153,9 +151,25 @@ func resetI64(s []int64, n int) []int64 {
 	return s
 }
 
+// appendBlock appends evs to dst as one framed block whose first event
+// has absolute index first: the block header, then the payload.
+func appendBlock(dst []byte, first uint64, evs []cpu.Event, sc *encScratch) ([]byte, error) {
+	at := len(dst)
+	dst, err := appendBlockPayload(append(dst, make([]byte, blockHeaderSize)...), evs, sc)
+	if err != nil {
+		return dst, err
+	}
+	hdr, payload := dst[at:at+blockHeaderSize], dst[at+blockHeaderSize:]
+	binary.LittleEndian.PutUint64(hdr[0:], first)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(evs)))
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(payload, castagnoli))
+	return dst, nil
+}
+
 // appendBlockPayload encodes evs as one self-contained block payload
-// into sc-owned scratch, so a streaming writer allocates nothing per
-// block once warm.
+// using sc-owned scratch, so the writer allocates nothing per block once
+// warm.
 func appendBlockPayload(dst []byte, evs []cpu.Event, sc *encScratch) ([]byte, error) {
 	for _, ev := range evs {
 		if ev.Kind > cpu.EvSinkCheck {
@@ -392,194 +406,4 @@ func decodeBlockPayload(payload []byte, dst []cpu.Event, first uint64, sc *decSc
 		return corrupt("trailing bytes after the last column")
 	}
 	return nil
-}
-
-// BlockWriter streams a PIFTTRC2 trace: events appended one at a time
-// are framed into blocks and written through as each fills. The total
-// event count must be known up front — it lives in the 16-byte header,
-// exactly like v1 — and Close fails if the appended count disagrees.
-type BlockWriter struct {
-	w           *bufio.Writer
-	total       uint64
-	written     uint64 // events appended so far
-	flushed     uint64 // events already framed into blocks
-	blockEvents int
-	evs         []cpu.Event
-	payload     []byte
-	sc          encScratch
-	n           int64 // wire bytes emitted
-	err         error
-}
-
-// NewBlockWriter starts a v2 stream of exactly total events on w.
-// blockEvents <= 0 selects DefaultBlockEvents; values above the format's
-// block cap are clamped to it.
-func NewBlockWriter(w io.Writer, total uint64, blockEvents int) *BlockWriter {
-	if blockEvents <= 0 {
-		blockEvents = DefaultBlockEvents
-	}
-	if blockEvents > maxBlockEvents {
-		blockEvents = maxBlockEvents
-	}
-	bw := &BlockWriter{
-		w:           bufio.NewWriter(w),
-		total:       total,
-		blockEvents: blockEvents,
-		evs:         make([]cpu.Event, 0, blockEvents),
-		sc:          encScratch{dict: make(map[uint32]uint64)},
-	}
-	var hdr [HeaderSize]byte
-	copy(hdr[:], traceMagicV2[:])
-	binary.LittleEndian.PutUint64(hdr[8:], total)
-	if _, err := bw.w.Write(hdr[:]); err != nil {
-		bw.err = err
-	}
-	bw.n += HeaderSize
-	return bw
-}
-
-// Append adds one event to the stream.
-func (bw *BlockWriter) Append(ev cpu.Event) error {
-	if bw.err != nil {
-		return bw.err
-	}
-	if bw.written >= bw.total {
-		bw.err = fmt.Errorf("trace: appending event %d beyond the declared count %d", bw.written, bw.total)
-		return bw.err
-	}
-	bw.evs = append(bw.evs, ev)
-	bw.written++
-	if len(bw.evs) >= bw.blockEvents {
-		bw.err = bw.flushBlock()
-	}
-	return bw.err
-}
-
-func (bw *BlockWriter) flushBlock() error {
-	if len(bw.evs) == 0 {
-		return nil
-	}
-	var err error
-	bw.payload, err = appendBlockPayload(bw.payload[:0], bw.evs, &bw.sc)
-	if err != nil {
-		return err
-	}
-	var hdr [blockHeaderSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:], bw.flushed)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(bw.evs)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(bw.payload)))
-	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(bw.payload, castagnoli))
-	if _, err := bw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.w.Write(bw.payload); err != nil {
-		return err
-	}
-	bw.n += int64(blockHeaderSize + len(bw.payload))
-	bw.flushed += uint64(len(bw.evs))
-	bw.evs = bw.evs[:0]
-	return nil
-}
-
-// Written returns the wire bytes emitted so far.
-func (bw *BlockWriter) Written() int64 { return bw.n }
-
-// Close frames any partial final block and flushes the stream. It is an
-// error to close before exactly the declared event count was appended —
-// the header already promised it.
-func (bw *BlockWriter) Close() error {
-	if bw.err != nil {
-		return bw.err
-	}
-	if bw.written != bw.total {
-		bw.err = fmt.Errorf("trace: stream closed after %d of %d declared events", bw.written, bw.total)
-		return bw.err
-	}
-	if err := bw.flushBlock(); err != nil {
-		bw.err = err
-		return err
-	}
-	if err := bw.w.Flush(); err != nil {
-		bw.err = err
-		return err
-	}
-	return nil
-}
-
-// WriteToFormat serializes the recorded trace in the chosen wire format;
-// WriteToFormat(w, FormatV1) is exactly WriteTo.
-func (r *Recorder) WriteToFormat(w io.Writer, f Format) (int64, error) {
-	switch f {
-	case FormatV1:
-		return r.WriteTo(w)
-	case FormatV2:
-		bw := NewBlockWriter(w, uint64(len(r.Events)), DefaultBlockEvents)
-		for _, ev := range r.Events {
-			if err := bw.Append(ev); err != nil {
-				return bw.Written(), err
-			}
-		}
-		err := bw.Close()
-		return bw.Written(), err
-	}
-	return 0, fmt.Errorf("trace: unknown wire format %v", f)
-}
-
-// Transcode re-encodes the trace stream in src into dst using the target
-// format, streaming block by block — it never materializes the full
-// event slice. The source format is sniffed from the magic, so both
-// v1→v2 and v2→v1 (and identity) round trips work. Returns the event
-// count transcoded.
-func Transcode(dst io.Writer, src io.Reader, f Format) (uint64, error) {
-	r, err := NewReader(src)
-	if err != nil {
-		return 0, err
-	}
-	buf := make([]cpu.Event, DefaultBlockEvents)
-	var done uint64
-	switch f {
-	case FormatV2:
-		bw := NewBlockWriter(dst, r.Len(), DefaultBlockEvents)
-		for {
-			n, rerr := r.NextBatch(buf)
-			for _, ev := range buf[:n] {
-				if err := bw.Append(ev); err != nil {
-					return done, err
-				}
-			}
-			done += uint64(n)
-			if rerr == io.EOF {
-				return done, bw.Close()
-			}
-			if rerr != nil {
-				return done, rerr
-			}
-		}
-	case FormatV1:
-		w := bufio.NewWriter(dst)
-		var hdr [HeaderSize]byte
-		copy(hdr[:], traceMagic[:])
-		binary.LittleEndian.PutUint64(hdr[8:], r.Len())
-		if _, err := w.Write(hdr[:]); err != nil {
-			return done, err
-		}
-		var rec [eventWireSize]byte
-		for {
-			n, rerr := r.NextBatch(buf)
-			for _, ev := range buf[:n] {
-				putEventV1(rec[:], ev)
-				if _, err := w.Write(rec[:]); err != nil {
-					return done, err
-				}
-			}
-			done += uint64(n)
-			if rerr == io.EOF {
-				return done, w.Flush()
-			}
-			if rerr != nil {
-				return done, rerr
-			}
-		}
-	}
-	return 0, fmt.Errorf("trace: unknown wire format %v", f)
 }

@@ -27,13 +27,14 @@ func taxonomyTraceV2(t *testing.T, n int) ([]byte, *Recorder) {
 		})
 	}
 	var buf bytes.Buffer
-	bw := NewBlockWriter(&buf, uint64(n), 8)
-	for _, ev := range rec.Events {
-		if err := bw.Append(ev); err != nil {
-			t.Fatal(err)
-		}
+	tw, err := newWriter(&buf, FormatV2, uint64(n), 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := bw.Close(); err != nil {
+	if err := tw.append(rec.Events); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), rec

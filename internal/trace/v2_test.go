@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/cpu"
@@ -254,7 +255,7 @@ func TestV2IndexV1(t *testing.T) {
 		t.Fatalf("v1 index: %v %d %d", idx.Format(), idx.Count(), idx.Blocks())
 	}
 	segs := idx.PlanRange(100, 8000, 4, 512)
-	if want := PlanRange(100, 8000, 4, 512); len(segs) != len(want) {
+	if want := planBatches(100, 8000, 4, 512); len(segs) != len(want) {
 		t.Fatalf("v1 plan diverged: %v vs %v", segs, want)
 	}
 	for _, seg := range segs {
@@ -283,7 +284,7 @@ func TestV2EmptyTrace(t *testing.T) {
 		t.Fatalf("empty v2 trace: %v, %d events", err, back.Len())
 	}
 	idx, err := LoadIndex(bytes.NewReader(data))
-	if err != nil || idx.Blocks() != 0 || idx.PlanSegments(4, 512) != nil {
+	if err != nil || idx.Blocks() != 0 || idx.PlanRange(0, idx.Count(), 4, 512) != nil {
 		t.Fatalf("empty v2 index: %v", err)
 	}
 }
@@ -291,30 +292,37 @@ func TestV2EmptyTrace(t *testing.T) {
 // TestV2BlockWriterMisuse pins the writer's contract errors: appending
 // past the declared count, and closing short of it.
 func TestV2BlockWriterMisuse(t *testing.T) {
-	var buf bytes.Buffer
-	bw := NewBlockWriter(&buf, 1, 0)
-	if err := bw.Append(cpu.Event{}); err != nil {
+	newV2 := func(total uint64, block int) *writer {
+		tw, err := newWriter(io.Discard, FormatV2, total, block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tw
+	}
+	tw := newV2(1, DefaultBlockEvents)
+	if err := tw.append([]cpu.Event{{}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := bw.Append(cpu.Event{}); err == nil {
+	if err := tw.append([]cpu.Event{{}}); err == nil {
 		t.Fatal("append past the declared count accepted")
 	}
-	bw = NewBlockWriter(&buf, 2, 0)
-	if err := bw.Append(cpu.Event{}); err != nil {
+	tw = newV2(2, DefaultBlockEvents)
+	if err := tw.append([]cpu.Event{{}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := bw.Close(); err == nil {
+	if err := tw.close(); err == nil {
 		t.Fatal("short close accepted")
 	}
 	// Unencodable events are rejected like the v1 decoder would reject
 	// their records: unknown kind, inverted range.
-	bw = NewBlockWriter(&buf, 1, 1)
-	if err := bw.Append(cpu.Event{Kind: 200}); err == nil {
+	if err := newV2(1, 1).append([]cpu.Event{{Kind: 200}}); err == nil {
 		t.Fatal("unknown kind encoded")
 	}
-	bw = NewBlockWriter(&buf, 1, 1)
-	if err := bw.Append(cpu.Event{Range: mem.Range{Start: 10, End: 3}}); err == nil {
+	if err := newV2(1, 1).append([]cpu.Event{{Range: mem.Range{Start: 10, End: 3}}}); err == nil {
 		t.Fatal("inverted range encoded")
+	}
+	if _, err := newWriter(io.Discard, Format(9), 0, 1); err == nil {
+		t.Fatal("unknown wire format accepted")
 	}
 }
 
@@ -342,8 +350,8 @@ func TestV2Transcode(t *testing.T) {
 	}
 }
 
-// TestV2GoldenBytes pins the exact wire bytes of a small fixed trace, so
-// any change to the encoding — varint order, zigzag convention, CRC
+// TestV2GoldenBytes pins the exact wire bytes of a small fixed trace in
+// both formats, so any change to the encoding — varint order, zigzag convention, CRC
 // polynomial, header layout — fails loudly instead of silently forking
 // the format.
 func TestV2GoldenBytes(t *testing.T) {
@@ -374,6 +382,25 @@ func TestV2GoldenBytes(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("golden mismatch:\n got %x\nwant %x", got, want)
+	}
+
+	// The same six events as PIFTTRC1: fixed 25-byte records.
+	const goldenV1 = "" +
+		"5049465454524331" + // magic "PIFTTRC1"
+		"0600000000000000" + // count = 6
+		//  kind  pid       seq               start     end       tag
+		"02" + "07000000" + "6400000000000000" + "00100000" + "04100000" + "01000000" +
+		"00" + "07000000" + "6500000000000000" + "00100000" + "04100000" + "00000000" +
+		"01" + "07000000" + "6700000000000000" + "08100000" + "10100000" + "00000000" +
+		"00" + "09000000" + "3200000000000000" + "08100000" + "10100000" + "00000000" +
+		"03" + "09000000" + "3400000000000000" + "08100000" + "0c100000" + "fdffffff" +
+		"01" + "07000000" + "6800000000000000" + "00100000" + "04100000" + "00000000"
+	wantV1, err := hex.DecodeString(goldenV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotV1 := encodeFormat(t, rec, FormatV1); !bytes.Equal(gotV1, wantV1) {
+		t.Fatalf("v1 golden mismatch:\n got %x\nwant %x", gotV1, wantV1)
 	}
 }
 
@@ -433,6 +460,48 @@ func BenchmarkReaderV2NextBatch(b *testing.B) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestWriterScratchBounded: encoding allocates nothing per event. The
+// writer's scratch is sized by the block, not the trace, so an 8x longer
+// trace costs the same allocations and the same bytes in both formats.
+func TestWriterScratchBounded(t *testing.T) {
+	short, long := uniformTrace(4*DefaultBlockEvents+5), uniformTrace(32*DefaultBlockEvents+5)
+	for _, f := range []Format{FormatV1, FormatV2} {
+		cost := func(rec *Recorder) (allocs, bytes uint64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := rec.WriteToFormat(io.Discard, f); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+		}
+		cost(short)
+		sa, sb := cost(short)
+		la, lb := cost(long)
+		if la > sa || lb > sb+1024 {
+			t.Errorf("%v: %d events cost %d allocs / %d B, %d events %d allocs / %d B",
+				f, short.Len(), sa, sb, long.Len(), la, lb)
+		}
+	}
+}
+
+// BenchmarkWriteToFormat measures encode throughput of both formats over
+// the uniform corpus.
+func BenchmarkWriteToFormat(b *testing.B) {
+	orig := uniformTrace(100000)
+	for _, f := range []Format{FormatV1, FormatV2} {
+		b.Run(f.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := orig.WriteToFormat(io.Discard, f); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*orig.Len()), "ns/event")
 		})
 	}
 }
